@@ -222,7 +222,23 @@ def cmd_calibrate(args) -> int:
                 break
         if col is None:
             raise ValidationError(f"{args.data}: expected a 'score' or 'blended_score' column")
-        scores = [float(row[col]) for row in reader if row]
+        scores = []
+        for row_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{args.data}: row {row_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                score = float(row[col])
+            except ValueError:
+                raise ValidationError(
+                    f"{args.data}: row {row_no}: non-numeric score {row[col]!r}"
+                ) from None
+            if not math.isfinite(score):
+                raise ValidationError(f"{args.data}: row {row_no}: non-finite score {row[col]!r}")
+            scores.append(score)
     thresholds = calibrate_thresholds(np.asarray(scores), _parse_target_dist(args.target_dist))
 
     def enc(v: float):
@@ -242,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fewboost")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, schema=True, preset=True):
+    def add_common(p, schema=True, preset="default"):
         p.add_argument("--data", required=True, help="input CSV path")
         if schema:
             p.add_argument("--schema", required=True, help="JSON column-type schema")
         if preset:
-            p.add_argument("--preset", default="default", choices=["default", "fsl", "file"])
+            p.add_argument("--preset", default=preset, choices=["default", "fsl", "file"])
             p.add_argument("--params", default=None, help="JSON parameter overrides")
 
     p = sub.add_parser("bench", help="k-shot AUC benchmark grid")
@@ -272,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("stack", help="fit the stacked few-shot pipeline")
-    add_common(p)
+    add_common(p, preset="fsl")
     p.add_argument("--k-per-model", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-dist", default="0.25,0.5,0.25",

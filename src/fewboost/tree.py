@@ -1,10 +1,27 @@
-"""Leaf-wise tree growth with histogram split finding.
+"""Leaf-wise tree growth with one histogram split scan per node.
 
-Split search scans cumulative gradient/hessian statistics over bin
-boundaries. A boundary is admissible only when both resulting children hold
-at least ``min_data_in_leaf`` rows; boundaries failing on the left are
-skipped and the scan stops once the right side falls below the floor, which
-is what makes tiny training sets unsplittable under large leaf floors.
+Each node is evaluated by a single scan that covers every sampled feature at
+once. Its gradient, hessian and row-count histograms come from one
+``bincount`` each over feature-offset bin ids, laid out as a padded
+(features x bins) block; column ``missing_bin`` of a feature's row holds its
+missing-value rows. Numeric boundaries are scored by one ``cumsum`` along
+the rows of that block. Categorical features with at most
+``max_cat_to_onehot`` present categories score every one-vs-other split in
+the same vectorised pass. With more categories, the categories are ordered
+by their smoothed gradient/hessian ratio and each prefix of that order is a
+candidate left set. Only the per-feature selection runs in Python: the
+greedy first maximum, or the extra-trees draw of one admissible boundary.
+The public one-feature selectors (:func:`find_best_split`,
+:func:`extra_random_split`, :func:`categorical_split`) run the same scan on
+a one-row block. Every float sum is accumulated in the same order as a
+one-feature-at-a-time scan would (no histogram is derived by subtraction),
+so the trees do not depend on how many features share a scan.
+
+A boundary is admissible only when both children hold at least
+``min_data_in_leaf`` rows. A node with fewer than ``2 * min_data_in_leaf``
+rows therefore has no admissible boundary; it stays a leaf before any
+histogram is built or random draw made. This gate is what makes tiny
+training sets unsplittable under large leaf floors.
 
 Two gain evaluators are provided. The default is the hessian-weighted
 children score ``GL^2/HL + GR^2/HR`` minus the parent score
@@ -89,15 +106,15 @@ class SplitCandidate:
 # gain evaluators
 
 
+def _score(g, h):
+    """Per-side score g^2/h; 0/0 is 0, x/0 is +inf. Call under ``np.errstate``."""
+    return np.where(h > 0, g * g / h, np.where(g == 0, 0.0, np.inf))
+
+
 def _side_score(g, h):
     """Hessian-form per-side score g^2/h; 0/0 is 0, x/0 is +inf."""
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    safe = h > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(safe, g * g / np.where(safe, h, 1.0),
-                       np.where(g == 0, 0.0, np.inf))
-    return out
+        return _score(np.asarray(g, dtype=np.float64), np.asarray(h, dtype=np.float64))
 
 
 def children_score(g_left: float, h_left: float, g_right: float, h_right: float) -> float:
@@ -125,72 +142,206 @@ def variance_gain(g_left, n_left, g_right, n_right, n_node) -> np.ndarray | floa
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _finite_or_neg_inf(gain: np.ndarray) -> np.ndarray:
-    return np.where(np.isnan(gain), -np.inf, gain)
+def _gain(gl, hl, nl, gr, hr, nr, parent, n_node: int, min_leaf: int, gain_form: str):
+    """Elementwise gain of sending (gl, hl, nl) left and (gr, hr, nr) right.
+
+    Returns the gain, -inf where a side holds fewer than ``min_leaf`` rows or
+    the gain is NaN, and the row-count gate itself. ``parent`` is the parent
+    score of the hessian form.
+    """
+    ok = (nl >= min_leaf) & (nr >= min_leaf)
+    if gain_form == "hessian":
+        gain = _score(gl, hl) + _score(gr, hr) - parent
+    elif gain_form == "variance":
+        gain = variance_gain(gl, nl, gr, nr, n_node)
+    else:
+        raise ValidationError(f"unknown gain_form {gain_form!r}")
+    return np.where(ok, np.where(np.isnan(gain), -np.inf, gain), -np.inf), ok
+
+
+def _both_directions(miss_left, miss_right, parent, node: NodeStats, min_leaf: int,
+                     gain_form: str = "hessian"):
+    """Score each candidate with its missing rows on either side.
+
+    ``miss_left`` and ``miss_right`` are the (gl, hl, nl, gr, hr, nr)
+    partitions with the missing rows sent left and right. Returns the better
+    direction's gain (ties go left), ``default_left``, the left row count and
+    whether either direction passes the row-count gate.
+    """
+    gain_l, ok_l = _gain(*miss_left, parent, node.n, min_leaf, gain_form)
+    gain_r, ok_r = _gain(*miss_right, parent, node.n, min_leaf, gain_form)
+    use_left = gain_l >= gain_r
+    n_left = np.where(use_left, miss_left[2], miss_right[2])
+    return np.where(use_left, gain_l, gain_r), use_left, n_left, ok_l | ok_r
+
+
+def _left_sets(gl, hl, nl, mg, mh, mc, node: NodeStats, min_leaf: int, l2: float, parent):
+    """Both missing directions for category sets whose sums exclude missing rows.
+
+    ``l2`` is added to every hessian, and ``parent`` must include it too.
+    """
+    tg, th, tn = node.sum_grad, node.sum_hess, node.n
+    gml, hml, nml = gl + mg, hl + mh, nl + mc
+    hr, hmr = th - hl, th - hml
+    if l2:
+        hl, hr, hml, hmr = hl + l2, hr + l2, hml + l2, hmr + l2
+    return _both_directions((gml, hml, nml, tg - gml, hmr, tn - nml),
+                            (gl, hl, nl, tg - gl, hr, tn - nl), parent, node, min_leaf)
 
 
 # ---------------------------------------------------------------------------
 # histogram construction
 
 
+def _histograms(offset_bins: np.ndarray, grad: np.ndarray, hess: np.ndarray, size: int):
+    """Gradient, hessian and row-count sums per flat bin id.
+
+    ``offset_bins`` is a (rows x features) array of bin ids already offset
+    into one flat block per feature; each statistic is one ``bincount``.
+    Every bin accumulates its rows in row order, exactly as a per-feature
+    ``bincount`` would, so the sums are bit-identical to it.
+    """
+    flat = offset_bins.ravel()
+    n_features = offset_bins.shape[1]
+    return (np.bincount(flat, weights=np.repeat(grad, n_features), minlength=size),
+            np.bincount(flat, weights=np.repeat(hess, n_features), minlength=size),
+            np.bincount(flat, minlength=size))
+
+
 def build_histogram(bds: BinnedDataset, feature: int, node: NodeStats, grads) -> FeatureHistogram:
     """Accumulate grad/hess/count per bin over the node's rows."""
     fb = bds.mapper[feature]
-    b = bds.bins[node.row_set, feature]
-    nb = fb.n_bins
+    rows = node.row_set
+    sum_grad, sum_hess, count = _histograms(bds.bins[rows, feature][:, None],
+                                            grads.grad[rows], grads.hess[rows], fb.n_bins)
     return FeatureHistogram(
-        feature=feature,
-        sum_grad=np.bincount(b, weights=grads.grad[node.row_set], minlength=nb),
-        sum_hess=np.bincount(b, weights=grads.hess[node.row_set], minlength=nb),
-        count=np.bincount(b, minlength=nb).astype(np.int64),
-        missing_bin=fb.missing_bin,
+        feature=feature, sum_grad=sum_grad, sum_hess=sum_hess,
+        count=count.astype(np.int64), missing_bin=fb.missing_bin,
         is_categorical=fb.kind == CATEGORICAL,
     )
 
 
 # ---------------------------------------------------------------------------
-# numeric split search
+# the split scan
 
 
-def _numeric_scan(hist: FeatureHistogram, node: NodeStats, min_leaf: int, gain_form: str):
-    """Cumulative boundary scan; returns per-boundary gains and counts.
+def _best_split(features, missing, is_cat, grad, hess, count, node: NodeStats,
+                params: Params, gain_form: str,
+                rng: np.random.Generator | None) -> SplitCandidate | None:
+    """Best split over one node's (features x bins) histogram block, or None.
 
-    Boundary ``d`` sends real bins ``0..d`` left and the rest right; missing
-    rows are tried on both sides and the better direction is kept (ties go
-    left). Inadmissible boundaries get gain -inf.
+    Row ``i`` of ``grad``/``hess``/``count`` is the histogram of feature
+    ``features[i]``: real bins first, its missing-value rows in column
+    ``missing[i]``, zero padding after that. Numeric boundary ``d`` sends real
+    bins ``0..d`` left. Without ``rng`` each feature keeps its first best
+    candidate under ``gain_form``. With ``rng`` (extra-trees) each feature
+    draws one admissible numeric boundary or prefix cut, in feature order,
+    and scores it in hessian form; one-vs-other categorical splits stay
+    greedy. Across features the first strictly highest gain wins, and a
+    feature's gain counts only if it is finite and positive.
     """
-    k = hist.missing_bin
-    if k < 2:
+    width = grad.shape[1]
+    if width < 2:  # no feature has a real bin
         return None
-    cg = np.cumsum(hist.sum_grad[:k])[:-1]
-    ch = np.cumsum(hist.sum_hess[:k])[:-1]
-    cc = np.cumsum(hist.count[:k])[:-1]
-    mg = float(hist.sum_grad[k])
-    mh = float(hist.sum_hess[k])
-    mc = int(hist.count[k])
+    min_leaf = params.min_data_in_leaf
     tg, th, tn = node.sum_grad, node.sum_hess, node.n
+    rows = np.arange(len(features))
+    mg, mh, mc = (a[rows, missing][:, None] for a in (grad, hess, count))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = _score(np.float64(tg), np.float64(th))
+        if not is_cat.all():
+            cg, ch, cc = (np.cumsum(a[:, :-1], axis=1) for a in (grad, hess, count))
+            num_gain, num_left, num_n, _ = _both_directions(
+                (cg + mg, ch + mh, cc + mc, tg - cg - mg, th - ch - mh, tn - cc - mc),
+                (cg, ch, cc, tg - cg, th - ch, tn - cc),
+                parent, node, min_leaf, gain_form if rng is None else "hessian")
+            # from the last real bin on, no real bin is left on the right
+            num_gain[np.arange(width - 1) >= missing[:, None] - 1] = -np.inf
+            num_best = np.argmax(num_gain, axis=1).tolist()
+        # categorical features with more present categories take prefix cuts
+        one_hot = is_cat.copy()
+        if is_cat.any():
+            present = (count > 0) & (np.arange(width) < missing[:, None])
+            one_hot &= present.sum(axis=1) <= params.max_cat_to_onehot
+        if one_hot.any():
+            one_gain, one_left, one_n, _ = _left_sets(grad, hess, count, mg, mh, mc,
+                                                      node, min_leaf, 0.0, parent)
+            one_gain[~present] = -np.inf
+            one_best = np.argmax(one_gain, axis=1).tolist()
 
-    nl_r, nr_r = cc, tn - cc
-    nl_l, nr_l = cc + mc, tn - cc - mc
-    ok_r = (nl_r >= min_leaf) & (nr_r >= min_leaf)
-    ok_l = (nl_l >= min_leaf) & (nr_l >= min_leaf)
+        # strict > keeps the lowest feature index on gain ties
+        best: SplitCandidate | None = None
+        top = 0.0
+        for i, (f, cat, one) in enumerate(zip(features, is_cat.tolist(), one_hot.tolist())):
+            if cat and not one:
+                cand = _prefix_split(f, grad[i], hess[i], count[i], int(missing[i]),
+                                     node, params, rng)
+                if cand is not None and top < cand.gain < np.inf:
+                    top, best = cand.gain, cand
+                continue
+            if cat:
+                gain, left, n_left, d = one_gain, one_left, one_n, one_best[i]
+            elif rng is None:
+                gain, left, n_left, d = num_gain, num_left, num_n, num_best[i]
+            else:
+                admissible = np.flatnonzero(num_gain[i] > -np.inf)
+                if admissible.size == 0:
+                    continue
+                gain, left, n_left = num_gain, num_left, num_n
+                d = int(admissible[int(rng.integers(admissible.size))])
+            if top < gain[i, d] < np.inf:
+                top, nl = float(gain[i, d]), int(n_left[i, d])
+                best = SplitCandidate(feature=f, gain=top, n_left=nl, n_right=tn - nl,
+                                      default_left=bool(left[i, d]),
+                                      threshold_bin=None if cat else d,
+                                      left_cats=(d,) if cat else None)
+    return best
 
-    if gain_form == "hessian":
-        parent = float(_side_score(tg, th))
-        gain_r = _side_score(cg, ch) + _side_score(tg - cg, th - ch) - parent
-        gain_l = _side_score(cg + mg, ch + mh) + _side_score(tg - cg - mg, th - ch - mh) - parent
-    elif gain_form == "variance":
-        gain_r = variance_gain(cg, nl_r, tg - cg, nr_r, tn)
-        gain_l = variance_gain(cg + mg, nl_l, tg - cg - mg, nr_l, tn)
+
+def _prefix_split(feature: int, grad, hess, count, k: int, node: NodeStats, params: Params,
+                  rng: np.random.Generator | None) -> SplitCandidate | None:
+    """Best (or, with ``rng``, a random admissible) prefix cut of one feature.
+
+    Categories holding at least ``min_data_per_group`` rows are ordered by
+    the smoothed score ``sum_grad / (sum_hess + cat_smooth)`` (ties by
+    category); the rest always route right. Each prefix of the order is a
+    left set, scored with ``cat_l2`` added to every hessian. Each prefix is
+    summed on its own: a running sum rounds differently once a prefix holds
+    8 or more categories. A cut is admissible for the random draw when
+    either missing direction passes the row-count gate.
+    """
+    eligible = np.flatnonzero((count[:k] > 0) & (count[:k] >= params.min_data_per_group))
+    if eligible.size == 0:
+        return None
+    g, denom = grad[eligible], hess[eligible] + params.cat_smooth
+    signed_inf = np.where(g > 0, np.inf, np.where(g < 0, -np.inf, 0.0))
+    ratio = np.where(denom > 0, g / denom, signed_inf)
+    order = eligible[np.argsort(ratio, kind="stable")]
+    prefixes = [order[:p] for p in range(1, order.size + 1)]
+    l2 = params.cat_l2
+    gain, use_left, n_left, admissible = _left_sets(
+        np.array([grad[s].sum() for s in prefixes]), np.array([hess[s].sum() for s in prefixes]),
+        np.cumsum(count[order]), grad[k], hess[k], count[k], node, params.min_data_in_leaf,
+        l2, _score(np.float64(node.sum_grad), np.float64(node.sum_hess + l2)))
+    if rng is None:
+        p = int(np.argmax(gain))
     else:
-        raise ValidationError(f"unknown gain_form {gain_form!r}")
+        admissible = np.flatnonzero(admissible)
+        if admissible.size == 0:
+            return None
+        p = int(admissible[int(rng.integers(admissible.size))])
+    nl = int(n_left[p])
+    return SplitCandidate(feature=feature, gain=float(gain[p]), n_left=nl, n_right=node.n - nl,
+                          default_left=bool(use_left[p]),
+                          left_cats=tuple(int(c) for c in np.sort(prefixes[p])))
 
-    gain_r = np.where(ok_r, _finite_or_neg_inf(gain_r), -np.inf)
-    gain_l = np.where(ok_l, _finite_or_neg_inf(gain_l), -np.inf)
-    use_left = gain_l >= gain_r
-    gain = np.where(use_left, gain_l, gain_r)
-    n_left = np.where(use_left, nl_l, nl_r)
-    return gain, use_left, n_left
+
+def _one_feature(hist: FeatureHistogram, node: NodeStats, params: Params, gain_form: str,
+                 rng: np.random.Generator | None) -> SplitCandidate | None:
+    """The node scan over a single feature's histogram."""
+    return _best_split([hist.feature], np.array([hist.missing_bin]),
+                       np.array([hist.is_categorical]), hist.sum_grad[None, :],
+                       hist.sum_hess[None, :], hist.count[None, :], node, params, gain_form, rng)
 
 
 def find_best_split(hist: FeatureHistogram, node: NodeStats, params: Params,
@@ -203,19 +354,7 @@ def find_best_split(hist: FeatureHistogram, node: NodeStats, params: Params,
     """
     if hist.is_categorical:
         raise ValidationError("find_best_split handles numeric features; use categorical_split")
-    scan = _numeric_scan(hist, node, params.min_data_in_leaf, gain_form)
-    if scan is None:
-        return None
-    gain, use_left, n_left = scan
-    d = int(np.argmax(gain))
-    best = float(gain[d])
-    if not (np.isfinite(best) and best > 0.0):
-        return None
-    nl = int(n_left[d])
-    return SplitCandidate(
-        feature=hist.feature, gain=best, n_left=nl, n_right=node.n - nl,
-        default_left=bool(use_left[d]), threshold_bin=d,
-    )
+    return _one_feature(hist, node, params, gain_form, None)
 
 
 def extra_random_split(hist: FeatureHistogram, node: NodeStats, params: Params,
@@ -223,58 +362,13 @@ def extra_random_split(hist: FeatureHistogram, node: NodeStats, params: Params,
     """One uniformly random admissible boundary instead of the greedy best.
 
     Admissibility is the same ``min_data_in_leaf`` gate (a boundary counts as
-    admissible when at least one missing-value direction passes). The drawn
-    boundary keeps its higher-gain missing direction and is still rejected if
-    its gain is not finite-positive.
+    admissible when at least one missing-value direction passes with a
+    non-NaN gain). The drawn boundary keeps its higher-gain missing direction
+    and is still rejected if its gain is not finite-positive.
     """
     if hist.is_categorical:
         raise ValidationError("extra_random_split handles numeric features; use categorical_split")
-    scan = _numeric_scan(hist, node, params.min_data_in_leaf, "hessian")
-    if scan is None:
-        return None
-    gain, use_left, n_left = scan
-    admissible = np.flatnonzero(gain > -np.inf)
-    if admissible.size == 0:
-        return None
-    d = int(admissible[int(rng.integers(admissible.size))])
-    best = float(gain[d])
-    if not (np.isfinite(best) and best > 0.0):
-        return None
-    nl = int(n_left[d])
-    return SplitCandidate(
-        feature=hist.feature, gain=best, n_left=nl, n_right=node.n - nl,
-        default_left=bool(use_left[d]), threshold_bin=d,
-    )
-
-
-# ---------------------------------------------------------------------------
-# categorical split search
-
-
-def _best_direction(gl, hl, nl, tg, th, tn, mg, mh, mc, min_leaf, l2=0.0):
-    """Evaluate one left-set (gl, hl, nl exclude missing) with both missing
-    directions; returns (gain, n_left, default_left) or None."""
-    best = None
-    for put_left in (True, False):
-        g_left = gl + mg if put_left else gl
-        h_left = hl + mh if put_left else hl
-        n_left = nl + mc if put_left else nl
-        n_right = tn - n_left
-        if n_left < min_leaf or n_right < min_leaf:
-            continue
-        g_right = tg - g_left
-        h_right = th - h_left
-        gain = (
-            float(_side_score(g_left, h_left + l2))
-            + float(_side_score(g_right, h_right + l2))
-            - float(_side_score(tg, th + l2))
-        )
-        if np.isnan(gain):
-            gain = -np.inf
-        # ties keep the left direction (True is tried first)
-        if best is None or gain > best[0]:
-            best = (gain, n_left, put_left)
-    return best
+    return _one_feature(hist, node, params, "hessian", rng)
 
 
 def categorical_split(hist: FeatureHistogram, node: NodeStats, params: Params,
@@ -293,77 +387,7 @@ def categorical_split(hist: FeatureHistogram, node: NodeStats, params: Params,
     """
     if not hist.is_categorical:
         raise ValidationError("categorical_split requires a categorical feature histogram")
-    k = hist.missing_bin
-    min_leaf = params.min_data_in_leaf
-    present = np.flatnonzero(hist.count[:k] > 0)
-    if present.size == 0:
-        return None
-    mg = float(hist.sum_grad[k])
-    mh = float(hist.sum_hess[k])
-    mc = int(hist.count[k])
-    tg, th, tn = node.sum_grad, node.sum_hess, node.n
-
-    best: SplitCandidate | None = None
-    if present.size <= params.max_cat_to_onehot:
-        for c in present:
-            res = _best_direction(
-                float(hist.sum_grad[c]), float(hist.sum_hess[c]), int(hist.count[c]),
-                tg, th, tn, mg, mh, mc, min_leaf,
-            )
-            if res is None:
-                continue
-            gain, n_left, default_left = res
-            if best is None or gain > best.gain:
-                best = SplitCandidate(
-                    feature=hist.feature, gain=gain, n_left=n_left,
-                    n_right=tn - n_left, default_left=default_left,
-                    left_cats=(int(c),),
-                )
-    else:
-        eligible = [int(c) for c in present if hist.count[c] >= params.min_data_per_group]
-        if not eligible:
-            return None
-
-        def smoothed(c: int) -> float:
-            denom = float(hist.sum_hess[c]) + params.cat_smooth
-            g = float(hist.sum_grad[c])
-            if denom <= 0:
-                return np.inf if g > 0 else (-np.inf if g < 0 else 0.0)
-            return g / denom
-
-        order = sorted(eligible, key=lambda c: (smoothed(c), c))
-        cuts = range(1, len(order) + 1)
-        if rng is not None and params.extra_trees:
-            admissible = [
-                p for p in cuts
-                if _prefix_direction(order, p, hist, tg, th, tn, mg, mh, mc, min_leaf, params.cat_l2)
-                is not None
-            ]
-            if not admissible:
-                return None
-            cuts = [admissible[int(rng.integers(len(admissible)))]]
-        for p in cuts:
-            res = _prefix_direction(order, p, hist, tg, th, tn, mg, mh, mc, min_leaf, params.cat_l2)
-            if res is None:
-                continue
-            gain, n_left, default_left = res
-            if best is None or gain > best.gain:
-                best = SplitCandidate(
-                    feature=hist.feature, gain=gain, n_left=n_left,
-                    n_right=tn - n_left, default_left=default_left,
-                    left_cats=tuple(sorted(order[:p])),
-                )
-    if best is None or not (np.isfinite(best.gain) and best.gain > 0.0):
-        return None
-    return best
-
-
-def _prefix_direction(order, p, hist, tg, th, tn, mg, mh, mc, min_leaf, l2):
-    cats = order[:p]
-    gl = float(hist.sum_grad[cats].sum())
-    hl = float(hist.sum_hess[cats].sum())
-    nl = int(hist.count[cats].sum())
-    return _best_direction(gl, hl, nl, tg, th, tn, mg, mh, mc, min_leaf, l2)
+    return _one_feature(hist, node, params, "hessian", rng if params.extra_trees else None)
 
 
 # ---------------------------------------------------------------------------
@@ -493,22 +517,26 @@ def grow_tree(bds: BinnedDataset, grads, row_set, feature_subset, params: Params
     if row_set.size == 0:
         raise ValidationError("grow_tree requires a non-empty row set")
     features = sorted(int(f) for f in feature_subset)
+    fbs = [bds.mapper[f] for f in features]
+    missing = np.array([fb.missing_bin for fb in fbs], dtype=np.intp)
+    is_cat = np.array([fb.kind == CATEGORICAL for fb in fbs], dtype=bool)
+    width = int(missing.max()) + 1 if features else 0
+    offset_bins: np.ndarray | None = None  # built at the first scanned node
+    scan_rng = rng if params.extra_trees else None
 
     def evaluate(stats: NodeStats) -> SplitCandidate | None:
-        best: SplitCandidate | None = None
-        for f in features:
-            hist = build_histogram(bds, f, stats, grads)
-            if hist.is_categorical:
-                cand = categorical_split(hist, stats, params,
-                                         rng if params.extra_trees else None)
-            elif params.extra_trees:
-                cand = extra_random_split(hist, stats, params, rng)
-            else:
-                cand = find_best_split(hist, stats, params, gain_form)
-            # strict > keeps the lowest feature index on gain ties
-            if cand is not None and (best is None or cand.gain > best.gain):
-                best = cand
-        return best
+        nonlocal offset_bins
+        # no boundary can leave min_data_in_leaf rows on both sides
+        if stats.n < 2 * params.min_data_in_leaf:
+            return None
+        if offset_bins is None:
+            offset_bins = bds.bins[:, features] + np.arange(len(features)) * width
+        rows = stats.row_set
+        block = _histograms(offset_bins[rows], grads.grad[rows], grads.hess[rows],
+                            len(features) * width)
+        return _best_split(features, missing, is_cat,
+                           *(a.reshape(len(features), width) for a in block),
+                           stats, params, gain_form, scan_rng)
 
     tree = Tree()
     root_stats = NodeStats.from_rows(row_set, grads)

@@ -167,6 +167,33 @@ def test_calibrate_rejects_bad_distribution(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("1,abc", "non-numeric score 'abc'"),
+    ("1,nan", "non-finite score 'nan'"),
+    ("1", "expected 2 fields, got 1"),
+])
+def test_calibrate_rejects_malformed_score_without_output(tmp_path, capsys, row, problem):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"row_id,score\n0,0.5\n{row}\n2,0.7\n", encoding="utf-8")
+    out = tmp_path / "t.json"
+    code = main(["calibrate", "--data", str(scores),
+                 "--target-dist", "0.25,0.5,0.25", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {scores}: row 3: {problem}\n"
+    assert not out.exists()
+
+
+def test_stack_defaults_to_the_few_shot_preset(tmp_path, stock_csv):
+    data, schema = stock_csv
+    bundles = []
+    for preset in ([], ["--preset", "fsl"]):
+        out = tmp_path / f"pipeline{len(bundles)}.json"
+        assert main(["stack", "--data", str(data), "--schema", str(schema), *preset,
+                     "--k-per-model", "40", "--seed", "0", "--out", str(out)]) == 0
+        bundles.append(out.read_bytes())
+    assert bundles[0] == bundles[1]
+
+
 def test_threads_env_var_validation(tmp_path, binary_csv, monkeypatch):
     data, schema = binary_csv
     monkeypatch.setenv("FEWBOOST_THREADS", "junk")

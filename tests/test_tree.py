@@ -1,15 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewboost.booster import GradientPairs
+from fewboost.booster import GradientPairs, compute_gradients
 from fewboost.dataset import BinnedDataset, FeatureBins
-from fewboost.params import Params
+from fewboost.params import OBJECTIVES, Params
 from fewboost.tree import (NodeStats, build_histogram, categorical_split,
                            children_score, extra_random_split,
                            find_best_split, grow_tree, variance_gain)
 
+import reference_tree
 from helpers import brute_force_best_split
 
 
@@ -462,3 +465,48 @@ def test_grow_stress_mixed_types_and_missing(seed):
         assert min(left.count, right.count) >= params.min_data_in_leaf
     out = tree.predict_bins(bds.bins)
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # saturated sigmoids divide by ~0
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=500, deadline=None)
+def test_grow_tree_matches_frozen_reference(seed):
+    # the node-level scan must grow the per-feature reference's tree byte for
+    # byte and leave the generator where the reference leaves it
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 65))
+    n_features = int(rng.integers(1, 7))
+    kinds = [str(rng.choice(["numeric", "categorical"])) for _ in range(n_features)]
+    n_real = [int(rng.integers(1, 13)) for _ in range(n_features)]
+    # bin n_real[j] is the missing bin
+    bins = [rng.integers(0, k + 1, size=n) for k in n_real]
+    bds = _binned_from_bins(bins, kinds=kinds, n_real=n_real)
+    objective = str(rng.choice(OBJECTIVES))
+    if objective == "binary-logloss":
+        y = rng.integers(0, 2, size=n).astype(float)
+    else:
+        y = rng.standard_normal(n)
+    # wide scores saturate the sigmoid: zero hessians and infinite gains
+    scores = rng.standard_normal(n) * float(rng.choice([0.5, 3.0, 40.0, 1000.0]))
+    grads = compute_gradients(objective, y, scores)
+    params = Params(
+        objective=objective,
+        min_data_in_leaf=int(rng.choice([1, 2, 3, 5, 20])),
+        num_leaves=int(rng.integers(2, 9)),
+        extra_trees=bool(rng.integers(2)),
+        max_cat_to_onehot=int(rng.choice([1, 3, 100])),
+        min_data_per_group=int(rng.choice([1, 2, 5])),
+        cat_l2=float(rng.choice([0.0, 1.0, 10.0])),
+        cat_smooth=float(rng.choice([0.0, 1.0, 10.0])),
+    )
+    gain_form = str(rng.choice(["hessian", "variance"]))
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    feats = rng.choice(n_features, size=int(rng.integers(1, n_features + 1)), replace=False)
+    tree_seed = int(rng.integers(2**32))
+
+    lib_rng, ref_rng = np.random.default_rng(tree_seed), np.random.default_rng(tree_seed)
+    got = grow_tree(bds, grads, rows, feats, params, lib_rng, gain_form=gain_form)
+    want = reference_tree.grow_tree(bds, grads, rows, feats, params, ref_rng,
+                                    gain_form=gain_form)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert lib_rng.random() == ref_rng.random()
