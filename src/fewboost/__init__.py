@@ -7,7 +7,7 @@ harness, and a stacked-ensemble pipeline with disjoint few-shot partitions.
 """
 
 from .booster import (GradientPairs, Model, compute_gradients, load_model,
-                      predict, save_model, train)
+                      predict, save_model, train, train_many)
 from .dataset import (BinnedDataset, Dataset, FeatureBins, bin_features,
                       load_csv, load_schema, schema_for, write_csv)
 from .errors import (FewboostError, ParseError, SchemaError,
@@ -23,9 +23,9 @@ from .stacking import (ActionThresholds, Level0Config, Level0Fit,
                        make_default_zoo, partition_shots, predict_actions,
                        save_pipeline, train_level0, winsorize)
 from .synth import make_synthetic_binary, make_synthetic_stock
-from .tree import (FeatureHistogram, NodeStats, SplitCandidate, Tree,
+from .tree import (FeatureHistogram, GrowJob, NodeStats, SplitCandidate, Tree,
                    build_histogram, categorical_split, children_score,
-                   extra_random_split, find_best_split, grow_tree, split_gain,
-                   variance_gain)
+                   extra_random_split, find_best_split, grow_tree, grow_trees,
+                   split_gain, variance_gain)
 
 __version__ = "0.1.0"

@@ -2,21 +2,27 @@
 
 A model is the initial score plus the eta-scaled sum of tree outputs, pushed
 through the objective's link (sigmoid for binary log-loss, identity
-otherwise). Training is deterministic for a fixed seed.
+otherwise). Training is deterministic for a fixed seed. :func:`train_many`
+trains a batch of models that share their parameters (all but the seed) in
+lockstep: each boosting round grows every model's tree in one
+:func:`~fewboost.tree.grow_trees` call, whose growth steps each make one
+split scan for all of them. :func:`train` is a batch of one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import BinnedDataset, FeatureBins, bin_matrix
 from .errors import ValidationError
 from .params import Params
-from .tree import Tree, grow_tree
+from .tree import GrowJob, Tree, grow_trees
 
 BASE_SCORE_CLAMP = 10.0  # log-odds clamp when the training target is single-class
 
@@ -135,6 +141,84 @@ class Model:
         )
 
 
+def check_trainable(bds: BinnedDataset, params: Params) -> None:
+    """Raise :class:`ValidationError` if ``bds`` cannot be trained under ``params``."""
+    if bds.target is None:
+        raise ValidationError("training requires a target column")
+    if bds.n_rows < 1:
+        raise ValidationError("training requires at least one row")
+    if params.objective == "binary-logloss" and not np.all(np.isin(bds.target, (0.0, 1.0))):
+        raise ValidationError("binary-logloss requires targets in {0, 1}")
+
+
+class _Boosting:
+    """One model's state between boosting rounds: generator, scores and trees."""
+
+    def __init__(self, bds: BinnedDataset, params: Params):
+        self.bds, self.params = bds, params
+        self.rng = np.random.default_rng(params.seed)
+        self.base = _initial_score(params.objective, bds.target)
+        self.scores = np.full(bds.n_rows, self.base, dtype=np.float64)
+        self.all_rows = np.arange(bds.n_rows, dtype=np.intp)
+        self.all_feats = np.arange(bds.n_features, dtype=np.intp)
+        self.bag = self.all_rows
+        self.trees: list[Tree] = []
+
+    def next_job(self, it: int) -> GrowJob:
+        """Round ``it``'s gradients, bag and feature sample, drawn in that order."""
+        bds, params, rng = self.bds, self.params, self.rng
+        n = bds.n_rows
+        grads = compute_gradients(params.objective, bds.target, self.scores)
+        if params.bagging_freq > 0 and params.bagging_fraction < 1.0:
+            if it % params.bagging_freq == 0:
+                size = max(1, math.floor(params.bagging_fraction * n + 1e-9))
+                self.bag = np.sort(rng.choice(n, size=size, replace=False)).astype(np.intp)
+            rows = self.bag
+        else:
+            rows = self.all_rows
+        if params.feature_fraction < 1.0 and bds.n_features > 1:
+            size = max(1, math.floor(params.feature_fraction * bds.n_features + 0.5))
+            feats = np.sort(rng.choice(bds.n_features, size=size, replace=False))
+        else:
+            feats = self.all_feats
+        return GrowJob(bds, grads, rows, feats, rng)
+
+    def add(self, tree: Tree) -> None:
+        self.scores += self.params.eta * tree.predict_bins(self.bds.bins)
+        self.trees.append(tree)
+
+    def model(self) -> Model:
+        return Model(trees=self.trees, base_score=self.base, objective=self.params.objective,
+                     params=self.params, mapper=list(self.bds.mapper))
+
+
+def train_many(datasets: Sequence[BinnedDataset], params_list: Sequence[Params]) -> list[Model]:
+    """Train one model per (dataset, params) pair, growing each round's trees in lockstep.
+
+    The parameters must agree on every field except ``seed``. Each model
+    draws from its own ``default_rng(seed)`` in the order :func:`train` uses
+    (bag, then features, then the tree's draws), and each round's trees grow
+    together through :func:`~fewboost.tree.grow_trees`, so every model equals
+    the one :func:`train` returns for its pair alone. Every dataset is checked
+    by :func:`check_trainable` before any training starts.
+    """
+    if len(datasets) != len(params_list):
+        raise ValidationError("train_many needs one Params per dataset")
+    if not datasets:
+        return []
+    shared = params_list[0]
+    if any(dataclasses.replace(p, seed=shared.seed) != shared for p in params_list):
+        raise ValidationError("models trained together must share every parameter except seed")
+    for bds, params in zip(datasets, params_list):
+        check_trainable(bds, params)
+    runs = [_Boosting(bds, params) for bds, params in zip(datasets, params_list)]
+    for it in range(shared.n_rounds):
+        trees = grow_trees([run.next_job(it) for run in runs], shared)
+        for run, tree in zip(runs, trees):
+            run.add(tree)
+    return [run.model() for run in runs]
+
+
 def train(bds: BinnedDataset, params: Params) -> Model:
     """Run ``n_rounds`` boosting iterations over a binned dataset.
 
@@ -143,45 +227,10 @@ def train(bds: BinnedDataset, params: Params) -> Model:
     floor(bagging_fraction * n) every ``bagging_freq`` iterations) and
     per-tree feature sampling, then grows one tree and advances predictions
     by ``eta`` times its output. A tree whose gate is closed everywhere stays
-    a single leaf and only shifts predictions by a constant.
+    a single leaf and only shifts predictions by a constant. This is
+    :func:`train_many` on one model.
     """
-    if bds.target is None:
-        raise ValidationError("training requires a target column")
-    y = bds.target
-    n = bds.n_rows
-    if n < 1:
-        raise ValidationError("training requires at least one row")
-    if params.objective == "binary-logloss" and not np.all(np.isin(y, (0.0, 1.0))):
-        raise ValidationError("binary-logloss requires targets in {0, 1}")
-
-    rng = np.random.default_rng(params.seed)
-    base = _initial_score(params.objective, y)
-    scores = np.full(n, base, dtype=np.float64)
-    all_rows = np.arange(n, dtype=np.intp)
-    all_feats = np.arange(bds.n_features, dtype=np.intp)
-    bag = all_rows
-    trees: list[Tree] = []
-
-    for it in range(params.n_rounds):
-        grads = compute_gradients(params.objective, y, scores)
-        if params.bagging_freq > 0 and params.bagging_fraction < 1.0:
-            if it % params.bagging_freq == 0:
-                size = max(1, math.floor(params.bagging_fraction * n + 1e-9))
-                bag = np.sort(rng.choice(n, size=size, replace=False)).astype(np.intp)
-            rows = bag
-        else:
-            rows = all_rows
-        if params.feature_fraction < 1.0 and bds.n_features > 1:
-            size = max(1, math.floor(params.feature_fraction * bds.n_features + 0.5))
-            feats = np.sort(rng.choice(bds.n_features, size=size, replace=False))
-        else:
-            feats = all_feats
-        tree = grow_tree(bds, grads, rows, feats, params, rng)
-        scores += params.eta * tree.predict_bins(bds.bins)
-        trees.append(tree)
-
-    return Model(trees=trees, base_score=base, objective=params.objective,
-                 params=params, mapper=list(bds.mapper))
+    return train_many([bds], [params])[0]
 
 
 def predict(model: Model, rows) -> np.ndarray:

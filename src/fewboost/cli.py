@@ -5,9 +5,7 @@ pipeline bundles), ``stack`` (partition -> level-0 -> blender -> thresholds)
 and ``calibrate`` (recompute thresholds for a scores file). Exit codes:
 0 success, 1 usage/validation/I-O error, 2 partial benchmark failure.
 
-``FEWBOOST_THREADS`` caps benchmark-grid parallelism (0 means auto; unset
-means serial). Identical inputs and ``--seed`` produce byte-identical output
-files.
+Identical inputs and ``--seed`` produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -28,21 +26,6 @@ from .fsl import default_preset, fsl_preset, run_benchmark
 from .params import Params
 from .stacking import (calibrate_thresholds, fit_stacking, load_pipeline,
                        make_default_zoo, save_pipeline)
-
-
-def _threads() -> int:
-    raw = os.environ.get("FEWBOOST_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"FEWBOOST_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValidationError("FEWBOOST_THREADS must be >= 0")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
 
 
 def _resolve_params(args) -> Params:
@@ -97,7 +80,7 @@ def cmd_bench(args) -> int:
     shots = _parse_shots(args.shots)
     seeds = list(range(args.seed, args.seed + args.seeds))
     presets = {args.preset if args.preset != "file" else "custom": params}
-    report = run_benchmark(ds, shots, seeds, presets, max_workers=_threads())
+    report = run_benchmark(ds, shots, seeds, presets)
     _write_json(args.out, report.to_dict())
     txt_path = os.path.splitext(args.out)[0] + ".txt"
     with open(txt_path, "w", encoding="utf-8") as fh:

@@ -8,19 +8,21 @@ row sampling, and categorical restrictions lifted.
 ``run_benchmark`` replays the k-shot protocol: for every (preset, shot
 count, seed) cell it draws a stratified train set, trains, and scores AUC on
 every row not drawn. Cells are reported as mean, sd and median over seeds,
-plus a per-preset average across shot counts.
+plus a per-preset average across shot counts. The cells of one preset and
+seed, one per shot count, train as one lockstep batch, so each growth step
+makes one split scan for all of them; the report is the same as training
+each cell alone with ``run_cell``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .booster import predict, train
+from .booster import Model, check_trainable, predict, train, train_many
 from .dataset import Dataset, bin_features
 from .errors import FewboostError, ValidationError
 from .metrics import auc
@@ -206,56 +208,81 @@ def _normalize_presets(presets) -> list[tuple[str, Params]]:
     return items
 
 
-def run_cell(ds: Dataset, k: int, seed: int, params: Params) -> float:
-    """Train on a k-shot sample and return AUC on all non-sampled rows."""
-    shot = sample_k_shot(ds, k, seed)
+def _shot_cell(ds: Dataset, k: int, params: Params):
+    """A cell's evaluation rows and its binned k-shot sample, checked for training.
+
+    ``params.seed`` seeds the shot draw. Raises what the cell fails on.
+    """
+    shot = sample_k_shot(ds, k, params.seed)
     mask = np.ones(ds.n_rows, dtype=bool)
     mask[shot.indices] = False
     eval_idx = np.flatnonzero(mask)
     if eval_idx.size == 0:
         raise ValidationError("no rows left for evaluation")
-    sub = ds.take(shot.indices)
-    bds = bin_features(sub, params.max_bin, params.min_data_in_bin)
-    model = train(bds, dataclasses.replace(params, seed=seed))
-    scores = predict(model, ds.values[eval_idx])
-    return auc(ds.target[eval_idx], scores).value
+    bds = bin_features(ds.take(shot.indices), params.max_bin, params.min_data_in_bin)
+    check_trainable(bds, params)
+    return eval_idx, bds
+
+
+def _cell_auc(ds: Dataset, eval_idx: np.ndarray, model: Model) -> float:
+    return auc(ds.target[eval_idx], predict(model, ds.values[eval_idx])).value
+
+
+def run_cell(ds: Dataset, k: int, seed: int, params: Params) -> float:
+    """Train on a k-shot sample and return AUC on all non-sampled rows."""
+    params = dataclasses.replace(params, seed=seed)
+    eval_idx, bds = _shot_cell(ds, k, params)
+    return _cell_auc(ds, eval_idx, train(bds, params))
+
+
+def _run_row(ds: Dataset, shots: Sequence[int],
+             params: Params) -> list[tuple[float | None, str | None]]:
+    """Every shot count's (AUC, error) for one preset and seed (``params.seed``).
+
+    The cells that sample, bin and validate are trained as one batch; a cell
+    that fails keeps the message :func:`run_cell` would raise.
+    """
+    results: list[tuple[float | None, str | None]] = [(None, None)] * len(shots)
+    ready = []
+    for i, k in enumerate(shots):
+        try:
+            ready.append((i, *_shot_cell(ds, k, params)))
+        except FewboostError as exc:
+            results[i] = (None, str(exc))
+    models = train_many([bds for _, _, bds in ready], [params] * len(ready))
+    for (i, eval_idx, _), model in zip(ready, models):
+        try:
+            results[i] = (_cell_auc(ds, eval_idx, model), None)
+        except FewboostError as exc:
+            results[i] = (None, str(exc))
+    return results
 
 
 def run_benchmark(ds: Dataset, shots: Sequence[int], seeds: Sequence[int],
-                  presets, max_workers: int = 1) -> BenchmarkReport:
+                  presets) -> BenchmarkReport:
     """Evaluate every (preset, shot count, seed) cell of the grid.
 
     Cell failures (validation or undefined-metric errors) are recorded in
     the report instead of aborting the grid. The shot sample for a given
     (k, seed) is identical across presets, so presets are compared on the
-    same splits.
+    same splits. For each preset and seed, the cells of every shot count are
+    trained together by :func:`~fewboost.booster.train_many`; the report
+    equals one built cell by cell with :func:`run_cell`.
     """
     if not shots:
         raise ValidationError("shots must be non-empty")
     named = _normalize_presets(presets)
     shots = [int(k) for k in shots]
     seeds = [int(s) for s in seeds]
-    jobs = [(name, params, k, s) for name, params in named for k in shots for s in seeds]
-
-    def runner(job):
-        name, params, k, s = job
-        try:
-            return name, k, s, run_cell(ds, k, s, params), None
-        except FewboostError as exc:
-            return name, k, s, None, str(exc)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(runner, jobs))
-    else:
-        results = [runner(job) for job in jobs]
-
     cells = {name: {k: BenchmarkCell(preset=name, k=k) for k in shots} for name, _ in named}
-    for name, k, s, value, err in results:
-        cell = cells[name][k]
-        cell.aucs.append(value)
-        if err is not None:
-            cell.failures.append((s, err))
+    for name, params in named:
+        for s in seeds:
+            row = _run_row(ds, shots, dataclasses.replace(params, seed=s))
+            for k, (value, err) in zip(shots, row):
+                cell = cells[name][k]
+                cell.aucs.append(value)
+                if err is not None:
+                    cell.failures.append((s, err))
     return BenchmarkReport(
         dataset=ds.name, shots=shots, seeds=seeds,
         presets=[name for name, _ in named], cells=cells,

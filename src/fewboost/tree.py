@@ -1,21 +1,34 @@
-"""Leaf-wise tree growth with one histogram split scan per node.
+"""Leaf-wise tree growth, many trees in lockstep, one split scan per step.
 
-Each node is evaluated by a single scan that covers every sampled feature at
-once. Its gradient, hessian and row-count histograms come from one
-``bincount`` each over feature-offset bin ids, laid out as a padded
-(features x bins) block; column ``missing_bin`` of a feature's row holds its
-missing-value rows. Numeric boundaries are scored by one ``cumsum`` along
-the rows of that block. Categorical features with at most
-``max_cat_to_onehot`` present categories score every one-vs-other split in
-the same vectorised pass. With more categories, the categories are ordered
-by their smoothed gradient/hessian ratio and each prefix of that order is a
-candidate left set. Only the per-feature selection runs in Python: the
-greedy first maximum, or the extra-trees draw of one admissible boundary.
-The public one-feature selectors (:func:`find_best_split`,
-:func:`extra_random_split`, :func:`categorical_split`) run the same scan on
-a one-row block. Every float sum is accumulated in the same order as a
-one-feature-at-a-time scan would (no histogram is derived by subtraction),
-so the trees do not depend on how many features share a scan.
+:func:`grow_trees` grows several independent trees together. At each growth
+step every tree with a non-empty frontier and room in its leaf budget pops
+and splits its best leaf, and all the new children, of every tree, go to one
+split scan; at the first step the scan takes the roots. For each tree the
+pops, splits and random draws come in the same order as growing it alone,
+so a tree does not depend on which other trees share its steps.
+:func:`grow_tree` is a batch of one.
+
+Each scanned node builds its gradient, hessian and row-count histograms with
+one ``bincount`` each over feature-offset bin ids, laid out as a (features x
+bins) block. The scan stacks these blocks into one ragged block of (node,
+feature) rows, padded to the widest feature of the batch; column
+``missing_bin`` of a row holds its missing-value rows, and padded columns are
+never admissible. Numeric boundaries are scored by one ``cumsum`` along the
+rows. Categorical features with at most ``max_cat_to_onehot`` present
+categories score every one-vs-other split in the same vectorised pass. With
+more categories, the categories are ordered by their smoothed
+gradient/hessian ratio and each prefix of that order is a candidate left
+set. Selection is vectorised too: greedy takes the first best boundary of
+each row; extra-trees counts every row's admissible boundaries and draws all
+of a tree's rows of one step with a single ``rng.integers(0, sizes)``, which
+yields the same stream as one draw per row in node and feature order. Across
+a node's features the first strictly highest gain wins, among gains that are
+finite and positive. The public one-feature selectors
+(:func:`find_best_split`, :func:`extra_random_split`,
+:func:`categorical_split`) run the same scan on a one-row block. Every float
+sum is accumulated in the same order as a one-feature-at-a-time scan would
+(no histogram is derived by subtraction), so the trees do not depend on how
+many features or nodes share a scan.
 
 A boundary is admissible only when both children hold at least
 ``min_data_in_leaf`` rows. A node with fewer than ``2 * min_data_in_leaf``
@@ -39,7 +52,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,7 +143,10 @@ def split_gain(g_left: float, h_left: float, g_right: float, h_right: float) -> 
 
 
 def variance_gain(g_left, n_left, g_right, n_right, n_node) -> np.ndarray | float:
-    """Count-normalized variance-after-split: (GL^2/nl + GR^2/nr) / n_node."""
+    """Count-normalized variance-after-split: (GL^2/nl + GR^2/nr) / n_node.
+
+    ``n_node`` may be an array that broadcasts against the sides.
+    """
     g_left = np.asarray(g_left, dtype=np.float64)
     g_right = np.asarray(g_right, dtype=np.float64)
     nl = np.asarray(n_left, dtype=np.float64)
@@ -138,16 +154,17 @@ def variance_gain(g_left, n_left, g_right, n_right, n_node) -> np.ndarray | floa
     with np.errstate(divide="ignore", invalid="ignore"):
         left = np.where(nl > 0, g_left * g_left / np.where(nl > 0, nl, 1.0), 0.0)
         right = np.where(nr > 0, g_right * g_right / np.where(nr > 0, nr, 1.0), 0.0)
-    out = (left + right) / float(n_node)
+    out = (left + right) / np.asarray(n_node, dtype=np.float64)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _gain(gl, hl, nl, gr, hr, nr, parent, n_node: int, min_leaf: int, gain_form: str):
+def _gain(gl, hl, nl, gr, hr, nr, parent, n_node, min_leaf: int, gain_form: str):
     """Elementwise gain of sending (gl, hl, nl) left and (gr, hr, nr) right.
 
     Returns the gain, -inf where a side holds fewer than ``min_leaf`` rows or
     the gain is NaN, and the row-count gate itself. ``parent`` is the parent
-    score of the hessian form.
+    score of the hessian form and ``n_node`` the node's row count; both
+    broadcast against the sides.
     """
     ok = (nl >= min_leaf) & (nr >= min_leaf)
     if gain_form == "hessian":
@@ -159,7 +176,7 @@ def _gain(gl, hl, nl, gr, hr, nr, parent, n_node: int, min_leaf: int, gain_form:
     return np.where(ok, np.where(np.isnan(gain), -np.inf, gain), -np.inf), ok
 
 
-def _both_directions(miss_left, miss_right, parent, node: NodeStats, min_leaf: int,
+def _both_directions(miss_left, miss_right, parent, n_node, min_leaf: int,
                      gain_form: str = "hessian"):
     """Score each candidate with its missing rows on either side.
 
@@ -168,25 +185,25 @@ def _both_directions(miss_left, miss_right, parent, node: NodeStats, min_leaf: i
     direction's gain (ties go left), ``default_left``, the left row count and
     whether either direction passes the row-count gate.
     """
-    gain_l, ok_l = _gain(*miss_left, parent, node.n, min_leaf, gain_form)
-    gain_r, ok_r = _gain(*miss_right, parent, node.n, min_leaf, gain_form)
+    gain_l, ok_l = _gain(*miss_left, parent, n_node, min_leaf, gain_form)
+    gain_r, ok_r = _gain(*miss_right, parent, n_node, min_leaf, gain_form)
     use_left = gain_l >= gain_r
     n_left = np.where(use_left, miss_left[2], miss_right[2])
     return np.where(use_left, gain_l, gain_r), use_left, n_left, ok_l | ok_r
 
 
-def _left_sets(gl, hl, nl, mg, mh, mc, node: NodeStats, min_leaf: int, l2: float, parent):
+def _left_sets(gl, hl, nl, mg, mh, mc, tg, th, tn, min_leaf: int, l2: float, parent):
     """Both missing directions for category sets whose sums exclude missing rows.
 
-    ``l2`` is added to every hessian, and ``parent`` must include it too.
+    ``tg``, ``th`` and ``tn`` are the node's totals. ``l2`` is added to every
+    hessian, and ``parent`` must include it too.
     """
-    tg, th, tn = node.sum_grad, node.sum_hess, node.n
     gml, hml, nml = gl + mg, hl + mh, nl + mc
     hr, hmr = th - hl, th - hml
     if l2:
         hl, hr, hml, hmr = hl + l2, hr + l2, hml + l2, hmr + l2
     return _both_directions((gml, hml, nml, tg - gml, hmr, tn - nml),
-                            (gl, hl, nl, tg - gl, hr, tn - nl), parent, node, min_leaf)
+                            (gl, hl, nl, tg - gl, hr, tn - nl), parent, tn, min_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -225,39 +242,63 @@ def build_histogram(bds: BinnedDataset, feature: int, node: NodeStats, grads) ->
 # the split scan
 
 
-def _best_split(features, missing, is_cat, grad, hess, count, node: NodeStats,
-                params: Params, gain_form: str,
-                rng: np.random.Generator | None) -> SplitCandidate | None:
-    """Best split over one node's (features x bins) histogram block, or None.
+def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
+                 params: Params, gain_form: str, draws) -> list[SplitCandidate | None]:
+    """Best split of every node in a ragged (node, feature) histogram block.
 
-    Row ``i`` of ``grad``/``hess``/``count`` is the histogram of feature
-    ``features[i]``: real bins first, its missing-value rows in column
-    ``missing[i]``, zero padding after that. Numeric boundary ``d`` sends real
-    bins ``0..d`` left. Without ``rng`` each feature keeps its first best
-    candidate under ``gain_form``. With ``rng`` (extra-trees) each feature
-    draws one admissible numeric boundary or prefix cut, in feature order,
-    and scores it in hessian form; one-vs-other categorical splits stay
-    greedy. Across features the first strictly highest gain wins, and a
-    feature's gain counts only if it is finite and positive.
+    Node ``j`` owns rows ``starts[j]:starts[j + 1]``, one per sampled feature
+    in feature order, and ``totals`` holds every node's (sum_grad, sum_hess,
+    n). Row ``r`` of ``grad``/``hess``/``count`` is the histogram of feature
+    ``features[r]``: real bins first, its missing-value rows in column
+    ``missing[r]``, zero padding after that. Numeric boundary ``d`` sends
+    real bins ``0..d`` left.
+
+    With ``draws`` None each row keeps its first best candidate under
+    ``gain_form``. Otherwise (extra-trees) ``draws`` lists ``(rng, lo, hi)``:
+    the rows ``lo:hi`` belong to the tree drawing from ``rng``, and each of
+    them with an admissible numeric boundary or prefix cut draws one, scored
+    in hessian form; one-vs-other categorical splits stay greedy. Across a
+    node's rows the first strictly highest gain wins, and a row's gain counts
+    only if it is finite and positive.
     """
+    n_nodes = len(starts) - 1
     width = grad.shape[1]
     if width < 2:  # no feature has a real bin
-        return None
+        return [None] * n_nodes
     min_leaf = params.min_data_in_leaf
-    tg, th, tn = node.sum_grad, node.sum_hess, node.n
-    rows = np.arange(len(features))
+    n_rows = len(features)
+    rows = np.arange(n_rows)
+    node_size = np.diff(starts)
+    node_of = np.repeat(np.arange(n_nodes), node_size)
+    tg, th, tn = (np.asarray(t)[node_of][:, None] for t in totals)
     mg, mh, mc = (a[rows, missing][:, None] for a in (grad, hess, count))
+    numeric = ~is_cat
+    # each row's chosen boundary, category or prefix: column, gain, side, rows left
+    pick = np.zeros(n_rows, dtype=np.intp)
+    gain = np.full(n_rows, -np.inf)
+    left = np.zeros(n_rows, dtype=bool)
+    n_left = np.zeros(n_rows, dtype=np.int64)
+    sizes = np.zeros(n_rows, dtype=np.int64)  # admissible draws per row
+
+    def choose(mask, row_gain, row_left, row_n, col):
+        idx = np.flatnonzero(mask)
+        col = col[idx]
+        pick[idx], gain[idx] = col, row_gain[idx, col]
+        left[idx], n_left[idx] = row_left[idx, col], row_n[idx, col]
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        parent = _score(np.float64(tg), np.float64(th))
-        if not is_cat.all():
+        parent = _score(tg, th)
+        if numeric.any():
             cg, ch, cc = (np.cumsum(a[:, :-1], axis=1) for a in (grad, hess, count))
             num_gain, num_left, num_n, _ = _both_directions(
                 (cg + mg, ch + mh, cc + mc, tg - cg - mg, th - ch - mh, tn - cc - mc),
                 (cg, ch, cc, tg - cg, th - ch, tn - cc),
-                parent, node, min_leaf, gain_form if rng is None else "hessian")
+                parent, tn, min_leaf, gain_form if draws is None else "hessian")
             # from the last real bin on, no real bin is left on the right
             num_gain[np.arange(width - 1) >= missing[:, None] - 1] = -np.inf
-            num_best = np.argmax(num_gain, axis=1).tolist()
+            if draws is not None:
+                admissible = num_gain > -np.inf
+                sizes[numeric] = admissible.sum(axis=1)[numeric]
         # categorical features with more present categories take prefix cuts
         one_hot = is_cat.copy()
         if is_cat.any():
@@ -265,50 +306,75 @@ def _best_split(features, missing, is_cat, grad, hess, count, node: NodeStats,
             one_hot &= present.sum(axis=1) <= params.max_cat_to_onehot
         if one_hot.any():
             one_gain, one_left, one_n, _ = _left_sets(grad, hess, count, mg, mh, mc,
-                                                      node, min_leaf, 0.0, parent)
+                                                      tg, th, tn, min_leaf, 0.0, parent)
             one_gain[~present] = -np.inf
-            one_best = np.argmax(one_gain, axis=1).tolist()
+            choose(one_hot, one_gain, one_left, one_n, np.argmax(one_gain, axis=1))
+        prefix_rows = np.flatnonzero(is_cat & ~one_hot).tolist()
+        cuts = {}
+        for r in prefix_rows:
+            j = node_of[r]
+            cuts[r] = _prefix_cuts(grad[r], hess[r], count[r], int(missing[r]),
+                                   totals[0][j], totals[1][j], totals[2][j], params)
+            if draws is not None and cuts[r] is not None:
+                sizes[r] = cuts[r][4].size
 
-        # strict > keeps the lowest feature index on gain ties
-        best: SplitCandidate | None = None
-        top = 0.0
-        for i, (f, cat, one) in enumerate(zip(features, is_cat.tolist(), one_hot.tolist())):
-            if cat and not one:
-                cand = _prefix_split(f, grad[i], hess[i], count[i], int(missing[i]),
-                                     node, params, rng)
-                if cand is not None and top < cand.gain < np.inf:
-                    top, best = cand.gain, cand
-                continue
-            if cat:
-                gain, left, n_left, d = one_gain, one_left, one_n, one_best[i]
-            elif rng is None:
-                gain, left, n_left, d = num_gain, num_left, num_n, num_best[i]
+        drawn = np.zeros(n_rows, dtype=np.int64)
+        for rng, lo, hi in draws or ():
+            idx = lo + np.flatnonzero(sizes[lo:hi])
+            if idx.size:
+                drawn[idx] = rng.integers(0, sizes[idx])
+        if numeric.any():
+            if draws is None:
+                choose(numeric, num_gain, num_left, num_n, np.argmax(num_gain, axis=1))
             else:
-                admissible = np.flatnonzero(num_gain[i] > -np.inf)
-                if admissible.size == 0:
-                    continue
-                gain, left, n_left = num_gain, num_left, num_n
-                d = int(admissible[int(rng.integers(admissible.size))])
-            if top < gain[i, d] < np.inf:
-                top, nl = float(gain[i, d]), int(n_left[i, d])
-                best = SplitCandidate(feature=f, gain=top, n_left=nl, n_right=tn - nl,
-                                      default_left=bool(left[i, d]),
-                                      threshold_bin=None if cat else d,
-                                      left_cats=(d,) if cat else None)
-    return best
+                # the drawn-th admissible boundary of each row
+                col = np.argmax(np.cumsum(admissible, axis=1) > drawn[:, None], axis=1)
+                choose(numeric & (sizes > 0), num_gain, num_left, num_n, col)
+        for r in prefix_rows:
+            if cuts[r] is None:
+                continue
+            cut_gain, cut_left, cut_n, _, admissible_cuts = cuts[r]
+            if draws is None:
+                p = int(np.argmax(cut_gain))
+            elif admissible_cuts.size:
+                p = int(admissible_cuts[drawn[r]])
+            else:
+                continue
+            pick[r], gain[r], left[r], n_left[r] = p, cut_gain[p], cut_left[p], cut_n[p]
+
+    # first strictly highest finite positive gain per node: a padded argmax
+    valid = np.where((gain > 0) & (gain < np.inf), gain, -np.inf)
+    table = np.full((n_nodes, int(node_size.max())), -np.inf)
+    table[node_of, rows - np.asarray(starts)[node_of]] = valid
+    best = np.argmax(table, axis=1)
+    out: list[SplitCandidate | None] = [None] * n_nodes
+    for j in np.flatnonzero(table[np.arange(n_nodes), best] > -np.inf).tolist():
+        r = int(starts[j] + best[j])
+        nl, d = int(n_left[r]), int(pick[r])
+        if not is_cat[r]:
+            cats = None
+        elif r in cuts:
+            cats = tuple(int(c) for c in np.sort(cuts[r][3][: d + 1]))
+        else:
+            cats = (d,)
+        out[j] = SplitCandidate(feature=int(features[r]), gain=float(gain[r]), n_left=nl,
+                                n_right=int(totals[2][j]) - nl, default_left=bool(left[r]),
+                                threshold_bin=None if is_cat[r] else d, left_cats=cats)
+    return out
 
 
-def _prefix_split(feature: int, grad, hess, count, k: int, node: NodeStats, params: Params,
-                  rng: np.random.Generator | None) -> SplitCandidate | None:
-    """Best (or, with ``rng``, a random admissible) prefix cut of one feature.
+def _prefix_cuts(grad, hess, count, k: int, tg, th, tn, params: Params):
+    """Every prefix cut of one categorical histogram row, or None if none exists.
 
     Categories holding at least ``min_data_per_group`` rows are ordered by
     the smoothed score ``sum_grad / (sum_hess + cat_smooth)`` (ties by
-    category); the rest always route right. Each prefix of the order is a
-    left set, scored with ``cat_l2`` added to every hessian. Each prefix is
-    summed on its own: a running sum rounds differently once a prefix holds
-    8 or more categories. A cut is admissible for the random draw when
-    either missing direction passes the row-count gate.
+    category); the rest always route right. Prefix ``p`` of the order (the
+    first ``p + 1`` categories) is a left set, scored with ``cat_l2`` added to
+    every hessian. Each prefix is summed on its own: a running sum rounds
+    differently once a prefix holds 8 or more categories. Returns each cut's
+    gain, ``default_left`` and left row count, the category order, and the
+    cuts admissible for a random draw (either missing direction passes the
+    row-count gate).
     """
     eligible = np.flatnonzero((count[:k] > 0) & (count[:k] >= params.min_data_per_group))
     if eligible.size == 0:
@@ -321,27 +387,19 @@ def _prefix_split(feature: int, grad, hess, count, k: int, node: NodeStats, para
     l2 = params.cat_l2
     gain, use_left, n_left, admissible = _left_sets(
         np.array([grad[s].sum() for s in prefixes]), np.array([hess[s].sum() for s in prefixes]),
-        np.cumsum(count[order]), grad[k], hess[k], count[k], node, params.min_data_in_leaf,
-        l2, _score(np.float64(node.sum_grad), np.float64(node.sum_hess + l2)))
-    if rng is None:
-        p = int(np.argmax(gain))
-    else:
-        admissible = np.flatnonzero(admissible)
-        if admissible.size == 0:
-            return None
-        p = int(admissible[int(rng.integers(admissible.size))])
-    nl = int(n_left[p])
-    return SplitCandidate(feature=feature, gain=float(gain[p]), n_left=nl, n_right=node.n - nl,
-                          default_left=bool(use_left[p]),
-                          left_cats=tuple(int(c) for c in np.sort(prefixes[p])))
+        np.cumsum(count[order]), grad[k], hess[k], count[k], tg, th, tn,
+        params.min_data_in_leaf, l2, _score(np.float64(tg), np.float64(th + l2)))
+    return gain, use_left, n_left, order, np.flatnonzero(admissible)
 
 
 def _one_feature(hist: FeatureHistogram, node: NodeStats, params: Params, gain_form: str,
                  rng: np.random.Generator | None) -> SplitCandidate | None:
     """The node scan over a single feature's histogram."""
-    return _best_split([hist.feature], np.array([hist.missing_bin]),
-                       np.array([hist.is_categorical]), hist.sum_grad[None, :],
-                       hist.sum_hess[None, :], hist.count[None, :], node, params, gain_form, rng)
+    return _best_splits(np.array([hist.feature]), np.array([hist.missing_bin]),
+                        np.array([hist.is_categorical]), hist.sum_grad[None, :],
+                        hist.sum_hess[None, :], hist.count[None, :],
+                        ([node.sum_grad], [node.sum_hess], [node.n]), [0, 1], params,
+                        gain_form, None if rng is None else [(rng, 0, 1)])[0]
 
 
 def find_best_split(hist: FeatureHistogram, node: NodeStats, params: Params,
@@ -394,6 +452,15 @@ def categorical_split(hist: FeatureHistogram, node: NodeStats, params: Params,
 # tree structure and growth
 
 
+def _goes_left(fb: np.ndarray, left_cats, threshold_bin: int) -> np.ndarray:
+    """Which bin ids go left, before missing rows are routed (no ``isin`` for one category)."""
+    if left_cats is None:
+        return fb <= threshold_bin
+    if len(left_cats) == 1:
+        return fb == left_cats[0]
+    return np.isin(fb, left_cats)
+
+
 @dataclass
 class TreeNode:
     value: float = 0.0
@@ -441,11 +508,8 @@ class Tree:
             if idx.size == 0:
                 continue
             fb = bins[idx, nd.feature]
-            if nd.left_cats is not None:
-                go_left = np.isin(fb, nd.left_cats)
-            else:
-                go_left = fb <= nd.threshold_bin
-            go_left = np.where(fb == nd.missing_bin, nd.default_left, go_left)
+            go_left = np.where(fb == nd.missing_bin, nd.default_left,
+                               _goes_left(fb, nd.left_cats, nd.threshold_bin))
             stack.append((nd.left, idx[go_left]))
             stack.append((nd.right, idx[~go_left]))
         return out
@@ -505,65 +569,64 @@ def _leaf_value(stats: NodeStats) -> float:
     return float(np.clip(v, -LEAF_VALUE_CLAMP, LEAF_VALUE_CLAMP))
 
 
-def grow_tree(bds: BinnedDataset, grads, row_set, feature_subset, params: Params,
-              rng: np.random.Generator, gain_form: str = "hessian") -> Tree:
-    """Grow one tree leaf-wise (best-first) under the leaf budget.
+class GrowJob(NamedTuple):
+    """One tree to grow: its data, gradients, in-bag rows, features and generator.
 
-    The frontier leaf with the highest candidate gain is split until
-    ``num_leaves`` is reached or nothing is splittable. Leaf values are the
-    Newton step ``-sum_grad / sum_hess`` clamped to +-1e4.
+    Every job of a batch needs its own generator.
     """
-    row_set = np.asarray(row_set, dtype=np.intp)
-    if row_set.size == 0:
-        raise ValidationError("grow_tree requires a non-empty row set")
-    features = sorted(int(f) for f in feature_subset)
-    fbs = [bds.mapper[f] for f in features]
-    missing = np.array([fb.missing_bin for fb in fbs], dtype=np.intp)
-    is_cat = np.array([fb.kind == CATEGORICAL for fb in fbs], dtype=bool)
-    width = int(missing.max()) + 1 if features else 0
-    offset_bins: np.ndarray | None = None  # built at the first scanned node
-    scan_rng = rng if params.extra_trees else None
 
-    def evaluate(stats: NodeStats) -> SplitCandidate | None:
-        nonlocal offset_bins
-        # no boundary can leave min_data_in_leaf rows on both sides
-        if stats.n < 2 * params.min_data_in_leaf:
-            return None
-        if offset_bins is None:
-            offset_bins = bds.bins[:, features] + np.arange(len(features)) * width
+    bds: BinnedDataset
+    grads: Any
+    row_set: Any
+    feature_subset: Any
+    rng: np.random.Generator
+
+
+class _Grower:
+    """One tree's growth state: its frontier of scanned leaves and its offset bins."""
+
+    def __init__(self, job: GrowJob):
+        row_set = np.asarray(job.row_set, dtype=np.intp)
+        if row_set.size == 0:
+            raise ValidationError("grow_tree requires a non-empty row set")
+        self.bds, self.grads, self.rng = job.bds, job.grads, job.rng
+        features = sorted(int(f) for f in job.feature_subset)
+        fbs = [self.bds.mapper[f] for f in features]
+        self.features = np.array(features, dtype=np.intp)
+        self.missing = np.array([fb.missing_bin for fb in fbs], dtype=np.intp)
+        self.is_cat = np.array([fb.kind == CATEGORICAL for fb in fbs], dtype=bool)
+        self.width = int(self.missing.max()) + 1 if features else 0
+        self.offset_bins: np.ndarray | None = None  # built at the first scanned node
+        self.root = NodeStats.from_rows(row_set, self.grads)
+        self.tree = Tree(nodes=[TreeNode(value=_leaf_value(self.root), count=self.root.n)],
+                         num_leaves_used=1)
+        self.frontier: list[tuple[float, int, SplitCandidate, NodeStats]] = []
+
+    def histograms(self, stats: NodeStats, width: int):
+        """The node's (features x width) gradient, hessian and count histograms."""
+        n_features = self.features.size
+        if self.offset_bins is None:
+            self.offset_bins = self.bds.bins[:, self.features] + np.arange(n_features) * width
         rows = stats.row_set
-        block = _histograms(offset_bins[rows], grads.grad[rows], grads.hess[rows],
-                            len(features) * width)
-        return _best_split(features, missing, is_cat,
-                           *(a.reshape(len(features), width) for a in block),
-                           stats, params, gain_form, scan_rng)
+        block = _histograms(self.offset_bins[rows], self.grads.grad[rows],
+                            self.grads.hess[rows], n_features * width)
+        return [a.reshape(n_features, width) for a in block]
 
-    tree = Tree()
-    root_stats = NodeStats.from_rows(row_set, grads)
-    tree.nodes.append(TreeNode(value=_leaf_value(root_stats), count=root_stats.n))
-    tree.num_leaves_used = 1
-
-    frontier: list[tuple[float, int, SplitCandidate, NodeStats]] = []
-    cand = evaluate(root_stats)
-    if cand is not None:
-        heapq.heappush(frontier, (-cand.gain, 0, cand, root_stats))
-
-    while frontier and tree.num_leaves_used < params.num_leaves:
-        _, nid, cand, stats = heapq.heappop(frontier)
-        fb = bds.bins[stats.row_set, cand.feature]
-        if cand.left_cats is not None:
-            go_left = np.isin(fb, np.asarray(cand.left_cats, dtype=np.int64))
-        else:
-            go_left = fb <= cand.threshold_bin
-        missing_bin = bds.mapper[cand.feature].missing_bin
-        go_left = np.where(fb == missing_bin, cand.default_left, go_left)
+    def split(self) -> list[tuple["_Grower", int, NodeStats]]:
+        """Split the best frontier leaf; return both children, left first."""
+        _, nid, cand, stats = heapq.heappop(self.frontier)
+        fb = self.bds.bins[stats.row_set, cand.feature]
+        missing_bin = self.bds.mapper[cand.feature].missing_bin
+        go_left = np.where(fb == missing_bin, cand.default_left,
+                           _goes_left(fb, cand.left_cats, cand.threshold_bin))
         left_rows = stats.row_set[go_left]
         right_rows = stats.row_set[~go_left]
         assert left_rows.size == cand.n_left and right_rows.size == cand.n_right
 
-        left_stats = NodeStats.from_rows(left_rows, grads)
-        right_stats = NodeStats.from_rows(right_rows, grads)
-        node = tree.nodes[nid]
+        left_stats = NodeStats.from_rows(left_rows, self.grads)
+        right_stats = NodeStats.from_rows(right_rows, self.grads)
+        nodes = self.tree.nodes
+        node = nodes[nid]
         node.feature = cand.feature
         node.default_left = cand.default_left
         node.missing_bin = missing_bin
@@ -571,14 +634,73 @@ def grow_tree(bds: BinnedDataset, grads, row_set, feature_subset, params: Params
             node.left_cats = np.asarray(cand.left_cats, dtype=np.int64)
         else:
             node.threshold_bin = cand.threshold_bin
-        node.left = len(tree.nodes)
-        tree.nodes.append(TreeNode(value=_leaf_value(left_stats), count=left_stats.n))
-        node.right = len(tree.nodes)
-        tree.nodes.append(TreeNode(value=_leaf_value(right_stats), count=right_stats.n))
-        tree.num_leaves_used += 1
+        node.left = len(nodes)
+        nodes.append(TreeNode(value=_leaf_value(left_stats), count=left_stats.n))
+        node.right = len(nodes)
+        nodes.append(TreeNode(value=_leaf_value(right_stats), count=right_stats.n))
+        self.tree.num_leaves_used += 1
+        return [(self, node.left, left_stats), (self, node.right, right_stats)]
 
-        for child_id, child_stats in ((node.left, left_stats), (node.right, right_stats)):
-            child_cand = evaluate(child_stats)
-            if child_cand is not None:
-                heapq.heappush(frontier, (-child_cand.gain, child_id, child_cand, child_stats))
-    return tree
+
+def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int, params: Params,
+          gain_form: str) -> list[SplitCandidate | None]:
+    """One split scan over every pending node; each tree's nodes are adjacent."""
+    out: list[SplitCandidate | None] = [None] * len(pending)
+    scanned, growers, hists, totals, starts = [], [], [], ([], [], []), [0]
+    draws: list | None = [] if params.extra_trees else None
+    for i, (grower, _, stats) in enumerate(pending):
+        # no boundary can leave min_data_in_leaf rows on both sides
+        if stats.n < 2 * params.min_data_in_leaf or grower.features.size == 0:
+            continue
+        scanned.append(i)
+        growers.append(grower)
+        hists.append(grower.histograms(stats, width))
+        for t, v in zip(totals, (stats.sum_grad, stats.sum_hess, stats.n)):
+            t.append(v)
+        lo, hi = starts[-1], starts[-1] + grower.features.size
+        starts.append(hi)
+        if draws is not None:
+            if draws and draws[-1][0] is grower.rng:
+                draws[-1] = (grower.rng, draws[-1][1], hi)
+            else:
+                draws.append((grower.rng, lo, hi))
+    if not scanned:
+        return out
+    grad, hess, count = (np.concatenate([h[s] for h in hists]) for s in range(3))
+    cands = _best_splits(np.concatenate([g.features for g in growers]),
+                         np.concatenate([g.missing for g in growers]),
+                         np.concatenate([g.is_cat for g in growers]),
+                         grad, hess, count, totals, starts, params, gain_form, draws)
+    for i, cand in zip(scanned, cands):
+        out[i] = cand
+    return out
+
+
+def grow_trees(jobs: Sequence[GrowJob], params: Params,
+               gain_form: str = "hessian") -> list[Tree]:
+    """Grow one tree per job leaf-wise (best-first) under the leaf budget, in lockstep.
+
+    Each tree splits the frontier leaf with the highest candidate gain until
+    ``num_leaves`` is reached or nothing is splittable. All trees take their
+    growth steps together, and each step scans every new leaf of every tree
+    at once; a tree comes out as :func:`grow_tree` would grow it alone, and
+    its generator ends in the same state. Leaf values are the Newton step
+    ``-sum_grad / sum_hess`` clamped to +-1e4.
+    """
+    growers = [_Grower(job) for job in jobs]
+    width = max((g.width for g in growers), default=0)
+    pending = [(g, 0, g.root) for g in growers]
+    while pending:
+        for (grower, nid, stats), cand in zip(pending, _scan(pending, width, params, gain_form)):
+            if cand is not None:
+                heapq.heappush(grower.frontier, (-cand.gain, nid, cand, stats))
+        pending = [child for g in growers
+                   if g.frontier and g.tree.num_leaves_used < params.num_leaves
+                   for child in g.split()]
+    return [g.tree for g in growers]
+
+
+def grow_tree(bds: BinnedDataset, grads, row_set, feature_subset, params: Params,
+              rng: np.random.Generator, gain_form: str = "hessian") -> Tree:
+    """Grow one tree leaf-wise (best-first): :func:`grow_trees` on one job."""
+    return grow_trees([GrowJob(bds, grads, row_set, feature_subset, rng)], params, gain_form)[0]

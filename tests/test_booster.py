@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fewboost.booster import (Model, compute_gradients, load_model, predict,
-                              save_model, train)
+                              save_model, train, train_many)
 from fewboost.dataset import Dataset, bin_features
 from fewboost.errors import ValidationError
 from fewboost.fsl import default_preset, fsl_preset, sample_k_shot
@@ -23,6 +23,16 @@ def _numeric_ds(values, target):
     names = [f"x{j}" for j in range(arr.shape[1])]
     return Dataset(names, ["numeric"] * arr.shape[1], arr,
                    [None] * arr.shape[1], np.asarray(target, dtype=float), "y", "t")
+
+
+def _mixed_binary(n_rows, seed):
+    """The synthetic binary task plus a 5-category column, with missing values."""
+    ds = make_synthetic_binary(n_rows=n_rows, seed=seed)
+    rng = np.random.default_rng(seed)
+    values = np.column_stack([ds.values, rng.integers(0, 5, n_rows)]).astype(float)
+    values[rng.random(values.shape) < 0.05] = np.nan
+    return Dataset(ds.feature_names + ["c"], ds.kinds + ["categorical"], values,
+                   ds.categories + [[f"c{i}" for i in range(5)]], ds.target, "y", "mixed")
 
 
 # --- gradients ---------------------------------------------------------------
@@ -239,3 +249,29 @@ def test_model_rejects_foreign_document(tmp_path):
     path.write_text(json.dumps({"format": "something-else"}), encoding="utf-8")
     with pytest.raises(ValidationError):
         load_model(path)
+
+
+@pytest.mark.parametrize("preset", [default_preset, fsl_preset])
+def test_train_many_equals_training_each_model_alone(preset):
+    # one lockstep batch over differently sized and binned data, one seed each
+    ds = _mixed_binary(300, seed=3)
+    datasets, params_list = [], []
+    for i, k in enumerate((6, 16, 40, 64, 150)):
+        params = dataclasses.replace(preset(), n_rounds=15, seed=10 + i)
+        shot = sample_k_shot(ds, k, seed=i)
+        datasets.append(bin_features(ds.take(shot.indices), params.max_bin,
+                                     params.min_data_in_bin))
+        params_list.append(params)
+    batch = train_many(datasets, params_list)
+    assert len(batch) == len(datasets)
+    for bds, params, model in zip(datasets, params_list, batch):
+        assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
+
+
+def test_train_many_rejects_mixed_parameters():
+    bds = bin_features(make_synthetic_binary(n_rows=40, seed=0), 255, 3)
+    assert train_many([], []) == []
+    with pytest.raises(ValidationError):
+        train_many([bds, bds], [Params(seed=1), Params(seed=2, num_leaves=4)])
+    with pytest.raises(ValidationError):
+        train_many([bds, bds], [Params()])

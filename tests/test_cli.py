@@ -192,23 +192,3 @@ def test_stack_defaults_to_the_few_shot_preset(tmp_path, stock_csv):
                      "--k-per-model", "40", "--seed", "0", "--out", str(out)]) == 0
         bundles.append(out.read_bytes())
     assert bundles[0] == bundles[1]
-
-
-def test_threads_env_var_validation(tmp_path, binary_csv, monkeypatch):
-    data, schema = binary_csv
-    monkeypatch.setenv("FEWBOOST_THREADS", "junk")
-    code = main(["bench", "--data", str(data), "--schema", str(schema),
-                 "--shots", "4", "--seeds", "1", "--out", str(tmp_path / "r.json")])
-    assert code == 1
-
-
-def test_threads_env_var_parallel_matches_serial(tmp_path, binary_csv, monkeypatch):
-    data, schema = binary_csv
-    serial = tmp_path / "serial.json"
-    main(["bench", "--data", str(data), "--schema", str(schema), "--preset", "fsl",
-          "--shots", "8", "--seeds", "3", "--out", str(serial)])
-    monkeypatch.setenv("FEWBOOST_THREADS", "3")
-    threaded = tmp_path / "threaded.json"
-    main(["bench", "--data", str(data), "--schema", str(schema), "--preset", "fsl",
-          "--shots", "8", "--seeds", "3", "--out", str(threaded)])
-    assert serial.read_bytes() == threaded.read_bytes()

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewboost.dataset import Dataset
-from fewboost.errors import ValidationError
-from fewboost.fsl import (default_preset, fsl_preset, run_benchmark,
-                          sample_k_shot, _stratified_quotas)
+from fewboost.booster import train
+from fewboost.dataset import Dataset, bin_features
+from fewboost.errors import FewboostError, ValidationError
+from fewboost.fsl import (BenchmarkCell, BenchmarkReport, default_preset,
+                          fsl_preset, run_benchmark, run_cell, sample_k_shot,
+                          _stratified_quotas)
 from fewboost.synth import make_synthetic_binary
 
 
@@ -183,12 +185,55 @@ def test_benchmark_report_serialization_and_text():
     assert lines[1].startswith(report.dataset)
 
 
-def test_benchmark_threaded_matches_serial():
-    ds = make_synthetic_binary(n_rows=100, seed=7)
-    serial = run_benchmark(ds, shots=[8], seeds=[0, 1, 2], presets={"fsl": fsl_preset()})
-    threaded = run_benchmark(ds, shots=[8], seeds=[0, 1, 2],
-                             presets={"fsl": fsl_preset()}, max_workers=3)
-    assert serial.to_dict() == threaded.to_dict()
+def _cell_by_cell(ds, shots, seeds, presets):
+    """The grid's report built one ``run_cell`` at a time."""
+    cells = {name: {k: BenchmarkCell(preset=name, k=k) for k in shots} for name in presets}
+    for name, params in presets.items():
+        for k in shots:
+            for s in seeds:
+                try:
+                    value = run_cell(ds, k, s, params)
+                except FewboostError as exc:
+                    value = None
+                    cells[name][k].failures.append((s, str(exc)))
+                cells[name][k].aucs.append(value)
+    return BenchmarkReport(dataset=ds.name, shots=list(shots), seeds=list(seeds),
+                           presets=list(presets), cells=cells)
+
+
+def test_benchmark_equals_report_built_cell_by_cell():
+    ds = make_synthetic_binary(n_rows=150, seed=7)
+    shots, seeds = [4, 8, 16, 32, 64], [0, 1, 2]
+    presets = {"fsl": fsl_preset(), "default": default_preset()}
+    report = run_benchmark(ds, shots, seeds, presets)
+    assert report.to_dict() == _cell_by_cell(ds, shots, seeds, presets).to_dict()
+
+
+def test_benchmark_failing_cells_leave_the_rest_of_a_row_alone():
+    # 2 positives in 30 rows: k=29 draws both, so only its AUC is undefined
+    # (after training); k=30 leaves no evaluation rows; k=31 cannot be drawn
+    ds = make_synthetic_binary(n_rows=30, seed=10)
+    ds.target[:] = 0.0
+    ds.target[[3, 17]] = 1.0
+    shots, seeds = [8, 29, 30, 31, 12], [0, 1]
+    presets = {"fsl": fsl_preset()}
+    report = run_benchmark(ds, shots, seeds, presets)
+    assert report.to_dict() == _cell_by_cell(ds, shots, seeds, presets).to_dict()
+    for k in (29, 30, 31):
+        for s, message in report.cell("fsl", k).failures:
+            with pytest.raises(FewboostError) as exc:
+                run_cell(ds, k, s, fsl_preset())
+            assert message == str(exc.value)
+    assert [len(report.cell("fsl", k).failures) for k in shots] == [0, 2, 2, 2, 0]
+    assert report.cell("fsl", 8).aucs == [run_cell(ds, 8, s, fsl_preset()) for s in seeds]
+
+
+def test_grid_and_train_write_nothing_to_stdout(capsys):
+    # bench/run.py's last stdout line must stay its JSON result
+    ds = make_synthetic_binary(n_rows=80, seed=11)
+    run_benchmark(ds, [4, 8, 100], [0], {"fsl": fsl_preset(), "default": default_preset()})
+    train(bin_features(ds, 255, 3), fsl_preset())
+    assert capsys.readouterr().out == ""
 
 
 def test_benchmark_five_shot_columns():

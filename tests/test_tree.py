@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from fewboost.booster import GradientPairs, compute_gradients
 from fewboost.dataset import BinnedDataset, FeatureBins
 from fewboost.params import OBJECTIVES, Params
-from fewboost.tree import (NodeStats, build_histogram, categorical_split,
-                           children_score, extra_random_split,
-                           find_best_split, grow_tree, variance_gain)
+from fewboost.tree import (GrowJob, NodeStats, build_histogram,
+                           categorical_split, children_score,
+                           extra_random_split, find_best_split, grow_tree,
+                           grow_trees, variance_gain)
 
 import reference_tree
 from helpers import brute_force_best_split
@@ -510,3 +511,57 @@ def test_grow_tree_matches_frozen_reference(seed):
                                     gain_form=gain_form)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert lib_rng.random() == ref_rng.random()
+
+
+def _random_grow_input(rng, objective):
+    """One tree's data, as the frozen-reference property draws it."""
+    n = int(rng.integers(1, 65))
+    n_features = int(rng.integers(1, 7))
+    kinds = [str(rng.choice(["numeric", "categorical"])) for _ in range(n_features)]
+    n_real = [int(rng.integers(1, 13)) for _ in range(n_features)]
+    # bin n_real[j] is the missing bin
+    bds = _binned_from_bins([rng.integers(0, k + 1, size=n) for k in n_real],
+                            kinds=kinds, n_real=n_real)
+    if objective == "binary-logloss":
+        y = rng.integers(0, 2, size=n).astype(float)
+    else:
+        y = rng.standard_normal(n)
+    scores = rng.standard_normal(n) * float(rng.choice([0.5, 3.0, 40.0, 1000.0]))
+    grads = compute_gradients(objective, y, scores)
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    feats = rng.choice(n_features, size=int(rng.integers(1, n_features + 1)), replace=False)
+    return bds, grads, rows, feats
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # saturated sigmoids divide by ~0
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_grow_trees_in_lockstep_match_frozen_reference(seed):
+    # trees grown in one batch, with differently binned data and their own
+    # generators, each equal the reference grown alone, draws included
+    rng = np.random.default_rng(seed)
+    objective = str(rng.choice(OBJECTIVES))
+    params = Params(
+        objective=objective,
+        min_data_in_leaf=int(rng.choice([1, 2, 3, 5, 20])),
+        num_leaves=int(rng.integers(2, 9)),
+        extra_trees=bool(rng.integers(2)),
+        max_cat_to_onehot=int(rng.choice([1, 3, 100])),
+        min_data_per_group=int(rng.choice([1, 2, 5])),
+        cat_l2=float(rng.choice([0.0, 1.0, 10.0])),
+        cat_smooth=float(rng.choice([0.0, 1.0, 10.0])),
+    )
+    gain_form = str(rng.choice(["hessian", "variance"]))
+    jobs, tree_seeds = [], []
+    for _ in range(int(rng.integers(1, 7))):
+        tree_seeds.append(int(rng.integers(2**32)))
+        jobs.append(GrowJob(*_random_grow_input(rng, objective),
+                            rng=np.random.default_rng(tree_seeds[-1])))
+    got = grow_trees(jobs, params, gain_form=gain_form)
+    assert len(got) == len(jobs)
+    for job, tree, tree_seed in zip(jobs, got, tree_seeds):
+        ref_rng = np.random.default_rng(tree_seed)
+        want = reference_tree.grow_tree(job.bds, job.grads, job.row_set, job.feature_subset,
+                                        params, ref_rng, gain_form=gain_form)
+        assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
+        assert job.rng.random() == ref_rng.random()
