@@ -3,10 +3,11 @@
 A model is the initial score plus the eta-scaled sum of tree outputs, pushed
 through the objective's link (sigmoid for binary log-loss, identity
 otherwise). Training is deterministic for a fixed seed. :func:`train_many`
-trains a batch of models that share their parameters (all but the seed) in
-lockstep: each boosting round grows every model's tree in one
-:func:`~fewboost.tree.grow_trees` call, whose growth steps each make one
-split scan for all of them. :func:`train` is a batch of one.
+trains a batch of models that share their parameters (all but the seed and
+the greedy or extra-trees split selection) in lockstep: each boosting round
+grows every model's tree in one :func:`~fewboost.tree.grow_trees` call,
+whose growth steps each make one split scan for all of them, greedy and
+extra-trees trees alike. :func:`train` is a batch of one.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class _Boosting:
             feats = np.sort(rng.choice(bds.n_features, size=size, replace=False))
         else:
             feats = self.all_feats
-        return GrowJob(bds, grads, rows, feats, rng)
+        return GrowJob(bds, grads, rows, feats, rng, params.extra_trees)
 
     def add(self, tree: Tree) -> None:
         self.scores += self.params.eta * tree.predict_bins(self.bds.bins)
@@ -192,10 +193,19 @@ class _Boosting:
                      params=self.params, mapper=list(self.bds.mapper))
 
 
+def batch_key(params: Params) -> Params:
+    """``params`` without the fields a :func:`train_many` batch may vary.
+
+    Models can train in one batch exactly when their keys are equal.
+    """
+    return dataclasses.replace(params, seed=0, extra_trees=False)
+
+
 def train_many(datasets: Sequence[BinnedDataset], params_list: Sequence[Params]) -> list[Model]:
     """Train one model per (dataset, params) pair, growing each round's trees in lockstep.
 
-    The parameters must agree on every field except ``seed``. Each model
+    The parameters must agree on every field except ``seed`` and
+    ``extra_trees``: greedy and extra-trees models share a batch. Each model
     draws from its own ``default_rng(seed)`` in the order :func:`train` uses
     (bag, then features, then the tree's draws), and each round's trees grow
     together through :func:`~fewboost.tree.grow_trees`, so every model equals
@@ -207,8 +217,9 @@ def train_many(datasets: Sequence[BinnedDataset], params_list: Sequence[Params])
     if not datasets:
         return []
     shared = params_list[0]
-    if any(dataclasses.replace(p, seed=shared.seed) != shared for p in params_list):
-        raise ValidationError("models trained together must share every parameter except seed")
+    if any(batch_key(p) != batch_key(shared) for p in params_list):
+        raise ValidationError("models trained together must share every parameter "
+                              "except seed and extra_trees")
     for bds, params in zip(datasets, params_list):
         check_trainable(bds, params)
     runs = [_Boosting(bds, params) for bds, params in zip(datasets, params_list)]

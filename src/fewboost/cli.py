@@ -19,12 +19,12 @@ import sys
 
 import numpy as np
 
-from .booster import load_model, predict, save_model, train
+from .booster import Model, predict, save_model, train
 from .dataset import bin_features, load_csv, load_schema
 from .errors import FewboostError, ValidationError
 from .fsl import default_preset, fsl_preset, run_benchmark
 from .params import Params
-from .stacking import (calibrate_thresholds, fit_stacking, load_pipeline,
+from .stacking import (StackingPipeline, calibrate_thresholds, fit_stacking,
                        make_default_zoo, save_pipeline)
 
 
@@ -142,36 +142,44 @@ def _encode_rows_for_model(model, path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(model.mapper))
 
 
+def _decode_bundle(path: str, doc):
+    """The model or pipeline in an already-parsed bundle document."""
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    decode = {"fewboost-model": Model.from_dict,
+              "fewboost-pipeline": StackingPipeline.from_dict}.get(fmt)
+    if decode is None:
+        raise ValidationError(f"{path}: unknown bundle format {fmt!r}")
+    try:
+        return decode(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{path}: malformed {fmt} bundle ({type(exc).__name__}: {exc})") from exc
+
+
 def cmd_predict(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    fmt = doc.get("format")
-    if fmt == "fewboost-model":
-        model = load_model(args.model)
-        rows = _encode_rows_for_model(model, args.data)
-        scores = predict(model, rows)
+        bundle = _decode_bundle(args.model, json.load(fh))
+    if isinstance(bundle, Model):
+        scores = predict(bundle, _encode_rows_for_model(bundle, args.data))
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row_id", "score"])
             for i, s in enumerate(scores):
                 writer.writerow([i, repr(float(s))])
-    elif fmt == "fewboost-pipeline":
-        pipeline = load_pipeline(args.model)
+    else:
         # encode against the widest level-0 model's columns: pipelines store
         # per-config feature subsets over the original dataset arity
         if not args.schema:
             raise ValidationError("pipeline prediction requires --schema for column typing")
         schema = load_schema(args.schema)
         ds = load_csv(args.data, schema, require_target=False)
-        scores = pipeline.predict_score(ds.values)
-        actions = pipeline.thresholds.apply(scores)
+        scores = bundle.predict_score(ds.values)
+        actions = bundle.thresholds.apply(scores)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row_id", "blended_score", "action"])
             for i, (s, a) in enumerate(zip(scores, actions)):
                 writer.writerow([i, repr(float(s)), int(a)])
-    else:
-        raise ValidationError(f"{args.model}: unknown bundle format {fmt!r}")
     print(f"wrote predictions to {args.out}")
     return 0
 

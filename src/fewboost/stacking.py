@@ -3,7 +3,10 @@
 Level-0 models are boosted-tree regressors, each trained on its own
 disjoint shot set with its own feature subset and optional winsorized
 target, so diversity comes from the sample space as much as from the model
-space. Their predictions on the leftover (meta) rows feed a small MLP
+space. The zoo trains as one lockstep batch
+(:func:`~fewboost.booster.train_many`): each boosting round grows every
+model's tree together, greedy and extra-trees alike, with one split scan per
+growth step. Their predictions on the leftover (meta) rows feed a small MLP
 blender, and the blended score is discretized into sell/hold/buy actions by
 thresholds calibrated to a target action distribution.
 """
@@ -17,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .booster import Model, predict, train
+from .booster import Model, batch_key, check_trainable, predict, train_many
 from .dataset import CATEGORICAL, Dataset, bin_features
 from .errors import ValidationError
 from .fsl import fsl_preset
@@ -44,17 +47,12 @@ def partition_shots(n: int, k_per_model: int, m_models: int, seed: int
     return parts, leftover
 
 
-def _quantile(x: np.ndarray, q: float) -> float:
-    # linear interpolation between closest ranks
-    return float(np.quantile(x, q))
-
-
 def winsorize(y, lo_q: float, hi_q: float) -> np.ndarray:
     """Clip to the empirical [lo_q, hi_q] quantiles (linear interpolation)."""
     if not 0.0 <= lo_q < hi_q <= 1.0:
         raise ValidationError("quantiles must satisfy 0 <= lo_q < hi_q <= 1")
     y = np.asarray(y, dtype=np.float64)
-    return np.clip(y, _quantile(y, lo_q), _quantile(y, hi_q))
+    return np.clip(y, float(np.quantile(y, lo_q)), float(np.quantile(y, hi_q)))
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,12 @@ def train_level0(ds: Dataset, configs: Sequence[Level0Config]) -> Level0Result:
 
     Level-0 models are regressors: the objective is forced to squared error.
     The meta pool is every row not claimed by any shot set and must be
-    non-empty. ``meta_features`` columns follow config order.
+    non-empty. Every config is sliced, winsorized, binned and checked before
+    any model trains. Then configs whose parameters differ only in ``seed``
+    and ``extra_trees`` train as one :func:`~fewboost.booster.train_many`
+    batch (the whole :func:`make_default_zoo` is one), and each model equals
+    the one :func:`~fewboost.booster.train` returns for its config alone.
+    ``meta_features`` columns follow config order.
     """
     if not configs:
         raise ValidationError("at least one level-0 config is required")
@@ -112,8 +115,7 @@ def train_level0(ds: Dataset, configs: Sequence[Level0Config]) -> Level0Result:
     if meta_indices.size == 0:
         raise ValidationError("meta pool is empty: shot sets cover every row")
 
-    fits: list[Level0Fit] = []
-    meta_cols = []
+    datasets, params_list = [], []
     for cfg in configs:
         try:
             sub = ds.take(cfg.shot_indices).select_features(cfg.feature_set)
@@ -122,11 +124,22 @@ def train_level0(ds: Dataset, configs: Sequence[Level0Config]) -> Level0Result:
                 sub.target = winsorize(sub.target, lo, hi)
             params = dataclasses.replace(cfg.params, objective="mse")
             bds = bin_features(sub, params.max_bin, params.min_data_in_bin)
-            model = train(bds, params)
-            meta_cols.append(predict(model, ds.values[np.ix_(meta_indices, cfg.feature_set)]))
+            check_trainable(bds, params)
         except ValidationError as exc:
             raise ValidationError(f"level-0 config {cfg.name!r}: {exc}") from exc
-        fits.append(Level0Fit(config=cfg, model=model))
+        datasets.append(bds)
+        params_list.append(params)
+
+    batches: dict[Params, list[int]] = {}
+    for i, params in enumerate(params_list):
+        batches.setdefault(batch_key(params), []).append(i)
+    models: dict[int, Model] = {}
+    for batch in batches.values():
+        models.update(zip(batch, train_many([datasets[i] for i in batch],
+                                            [params_list[i] for i in batch])))
+    fits = [Level0Fit(config=cfg, model=models[i]) for i, cfg in enumerate(configs)]
+    meta_cols = [predict(fit.model, ds.values[np.ix_(meta_indices, fit.config.feature_set)])
+                 for fit in fits]
     return Level0Result(
         fits=fits,
         meta_features=np.column_stack(meta_cols),

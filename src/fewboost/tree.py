@@ -5,7 +5,9 @@ step every tree with a non-empty frontier and room in its leaf budget pops
 and splits its best leaf, and all the new children, of every tree, go to one
 split scan; at the first step the scan takes the roots. For each tree the
 pops, splits and random draws come in the same order as growing it alone,
-so a tree does not depend on which other trees share its steps.
+so a tree does not depend on which other trees share its steps. Each job
+picks greedy or extra-trees selection for its own tree, so greedy and
+extra-trees trees share one batch and every scan of it.
 :func:`grow_tree` is a batch of one.
 
 Each scanned node builds its gradient, hessian and row-count histograms with
@@ -18,10 +20,11 @@ rows. Categorical features with at most ``max_cat_to_onehot`` present
 categories score every one-vs-other split in the same vectorised pass. With
 more categories, the categories are ordered by their smoothed
 gradient/hessian ratio and each prefix of that order is a candidate left
-set. Selection is vectorised too: greedy takes the first best boundary of
-each row; extra-trees counts every row's admissible boundaries and draws all
-of a tree's rows of one step with a single ``rng.integers(0, sizes)``, which
-yields the same stream as one draw per row in node and feature order. Across
+set. Selection is vectorised too, by a per-row mode: a greedy tree's rows
+take their first best boundary; an extra-trees tree's rows count their
+admissible boundaries, and all of that tree's rows of one step draw with a
+single ``rng.integers(0, sizes)``, which yields the same stream as one draw
+per row in node and feature order. Across
 a node's features the first strictly highest gain wins, among gains that are
 finite and positive. The public one-feature selectors
 (:func:`find_best_split`, :func:`extra_random_split`,
@@ -253,13 +256,14 @@ def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
     ``missing[r]``, zero padding after that. Numeric boundary ``d`` sends
     real bins ``0..d`` left.
 
-    With ``draws`` None each row keeps its first best candidate under
-    ``gain_form``. Otherwise (extra-trees) ``draws`` lists ``(rng, lo, hi)``:
-    the rows ``lo:hi`` belong to the tree drawing from ``rng``, and each of
-    them with an admissible numeric boundary or prefix cut draws one, scored
-    in hessian form; one-vs-other categorical splits stay greedy. Across a
-    node's rows the first strictly highest gain wins, and a row's gain counts
-    only if it is finite and positive.
+    ``draws`` lists ``(rng, lo, hi)`` for every extra-trees tree: the rows
+    ``lo:hi`` belong to the tree drawing from ``rng``, and each of them with
+    an admissible numeric boundary or prefix cut draws one, numeric
+    boundaries scored in hessian form. Every other row is greedy and keeps
+    its first best candidate, numeric boundaries scored under ``gain_form``.
+    One-vs-other categorical splits are greedy in every row. Across a node's
+    rows the first strictly highest gain wins, and a row's gain counts only
+    if it is finite and positive.
     """
     n_nodes = len(starts) - 1
     width = grad.shape[1]
@@ -273,6 +277,10 @@ def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
     tg, th, tn = (np.asarray(t)[node_of][:, None] for t in totals)
     mg, mh, mc = (a[rows, missing][:, None] for a in (grad, hess, count))
     numeric = ~is_cat
+    extra = np.zeros(n_rows, dtype=bool)  # rows of extra-trees trees
+    for _, lo, hi in draws:
+        extra[lo:hi] = True
+    greedy = ~extra
     # each row's chosen boundary, category or prefix: column, gain, side, rows left
     pick = np.zeros(n_rows, dtype=np.intp)
     gain = np.full(n_rows, -np.inf)
@@ -290,15 +298,24 @@ def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
         parent = _score(tg, th)
         if numeric.any():
             cg, ch, cc = (np.cumsum(a[:, :-1], axis=1) for a in (grad, hess, count))
-            num_gain, num_left, num_n, _ = _both_directions(
-                (cg + mg, ch + mh, cc + mc, tg - cg - mg, th - ch - mh, tn - cc - mc),
-                (cg, ch, cc, tg - cg, th - ch, tn - cc),
-                parent, tn, min_leaf, gain_form if draws is None else "hessian")
+
+            def numeric_gains(form):
+                return _both_directions(
+                    (cg + mg, ch + mh, cc + mc, tg - cg - mg, th - ch - mh, tn - cc - mc),
+                    (cg, ch, cc, tg - cg, th - ch, tn - cc), parent, tn, min_leaf, form)[:3]
+
+            num_gain, num_left, num_n = numeric_gains("hessian" if draws else gain_form)
+            if draws and gain_form != "hessian" and greedy.any():
+                # the greedy rows of a mixed batch keep their own gain form
+                num_gain, num_left, num_n = (
+                    np.where(extra[:, None], a, b)
+                    for a, b in zip((num_gain, num_left, num_n), numeric_gains(gain_form)))
             # from the last real bin on, no real bin is left on the right
             num_gain[np.arange(width - 1) >= missing[:, None] - 1] = -np.inf
-            if draws is not None:
+            if draws:
                 admissible = num_gain > -np.inf
-                sizes[numeric] = admissible.sum(axis=1)[numeric]
+                drawing = numeric & extra
+                sizes[drawing] = admissible.sum(axis=1)[drawing]
         # categorical features with more present categories take prefix cuts
         one_hot = is_cat.copy()
         if is_cat.any():
@@ -315,26 +332,25 @@ def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
             j = node_of[r]
             cuts[r] = _prefix_cuts(grad[r], hess[r], count[r], int(missing[r]),
                                    totals[0][j], totals[1][j], totals[2][j], params)
-            if draws is not None and cuts[r] is not None:
+            if extra[r] and cuts[r] is not None:
                 sizes[r] = cuts[r][4].size
 
         drawn = np.zeros(n_rows, dtype=np.int64)
-        for rng, lo, hi in draws or ():
+        for rng, lo, hi in draws:
             idx = lo + np.flatnonzero(sizes[lo:hi])
             if idx.size:
                 drawn[idx] = rng.integers(0, sizes[idx])
         if numeric.any():
-            if draws is None:
-                choose(numeric, num_gain, num_left, num_n, np.argmax(num_gain, axis=1))
-            else:
+            choose(numeric & greedy, num_gain, num_left, num_n, np.argmax(num_gain, axis=1))
+            if draws:
                 # the drawn-th admissible boundary of each row
                 col = np.argmax(np.cumsum(admissible, axis=1) > drawn[:, None], axis=1)
-                choose(numeric & (sizes > 0), num_gain, num_left, num_n, col)
+                choose(drawing & (sizes > 0), num_gain, num_left, num_n, col)
         for r in prefix_rows:
             if cuts[r] is None:
                 continue
             cut_gain, cut_left, cut_n, _, admissible_cuts = cuts[r]
-            if draws is None:
+            if not extra[r]:
                 p = int(np.argmax(cut_gain))
             elif admissible_cuts.size:
                 p = int(admissible_cuts[drawn[r]])
@@ -399,7 +415,7 @@ def _one_feature(hist: FeatureHistogram, node: NodeStats, params: Params, gain_f
                         np.array([hist.is_categorical]), hist.sum_grad[None, :],
                         hist.sum_hess[None, :], hist.count[None, :],
                         ([node.sum_grad], [node.sum_hess], [node.n]), [0, 1], params,
-                        gain_form, None if rng is None else [(rng, 0, 1)])[0]
+                        gain_form, [] if rng is None else [(rng, 0, 1)])[0]
 
 
 def find_best_split(hist: FeatureHistogram, node: NodeStats, params: Params,
@@ -566,13 +582,15 @@ def _leaf_value(stats: NodeStats) -> float:
     if stats.sum_hess <= 0.0:
         return 0.0
     v = -stats.sum_grad / stats.sum_hess
-    return float(np.clip(v, -LEAF_VALUE_CLAMP, LEAF_VALUE_CLAMP))
+    return min(max(v, -LEAF_VALUE_CLAMP), LEAF_VALUE_CLAMP)
 
 
 class GrowJob(NamedTuple):
-    """One tree to grow: its data, gradients, in-bag rows, features and generator.
+    """One tree to grow: its data, gradients, in-bag rows, features, generator and mode.
 
-    Every job of a batch needs its own generator.
+    Every job of a batch needs its own generator. ``extra_trees`` picks
+    random (True) or greedy (False) split selection for this tree; None
+    follows ``params.extra_trees``.
     """
 
     bds: BinnedDataset
@@ -580,16 +598,18 @@ class GrowJob(NamedTuple):
     row_set: Any
     feature_subset: Any
     rng: np.random.Generator
+    extra_trees: bool | None = None
 
 
 class _Grower:
     """One tree's growth state: its frontier of scanned leaves and its offset bins."""
 
-    def __init__(self, job: GrowJob):
+    def __init__(self, job: GrowJob, params: Params):
         row_set = np.asarray(job.row_set, dtype=np.intp)
         if row_set.size == 0:
             raise ValidationError("grow_tree requires a non-empty row set")
         self.bds, self.grads, self.rng = job.bds, job.grads, job.rng
+        self.extra_trees = params.extra_trees if job.extra_trees is None else job.extra_trees
         features = sorted(int(f) for f in job.feature_subset)
         fbs = [self.bds.mapper[f] for f in features]
         self.features = np.array(features, dtype=np.intp)
@@ -646,8 +666,7 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int, params: Par
           gain_form: str) -> list[SplitCandidate | None]:
     """One split scan over every pending node; each tree's nodes are adjacent."""
     out: list[SplitCandidate | None] = [None] * len(pending)
-    scanned, growers, hists, totals, starts = [], [], [], ([], [], []), [0]
-    draws: list | None = [] if params.extra_trees else None
+    scanned, growers, hists, totals, starts, draws = [], [], [], ([], [], []), [0], []
     for i, (grower, _, stats) in enumerate(pending):
         # no boundary can leave min_data_in_leaf rows on both sides
         if stats.n < 2 * params.min_data_in_leaf or grower.features.size == 0:
@@ -659,7 +678,7 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int, params: Par
             t.append(v)
         lo, hi = starts[-1], starts[-1] + grower.features.size
         starts.append(hi)
-        if draws is not None:
+        if grower.extra_trees:
             if draws and draws[-1][0] is grower.rng:
                 draws[-1] = (grower.rng, draws[-1][1], hi)
             else:
@@ -687,7 +706,7 @@ def grow_trees(jobs: Sequence[GrowJob], params: Params,
     its generator ends in the same state. Leaf values are the Newton step
     ``-sum_grad / sum_hess`` clamped to +-1e4.
     """
-    growers = [_Grower(job) for job in jobs]
+    growers = [_Grower(job, params) for job in jobs]
     width = max((g.width for g in growers), default=0)
     pending = [(g, 0, g.root) for g in growers]
     while pending:
@@ -703,4 +722,5 @@ def grow_trees(jobs: Sequence[GrowJob], params: Params,
 def grow_tree(bds: BinnedDataset, grads, row_set, feature_subset, params: Params,
               rng: np.random.Generator, gain_form: str = "hessian") -> Tree:
     """Grow one tree leaf-wise (best-first): :func:`grow_trees` on one job."""
-    return grow_trees([GrowJob(bds, grads, row_set, feature_subset, rng)], params, gain_form)[0]
+    job = GrowJob(bds, grads, row_set, feature_subset, rng, params.extra_trees)
+    return grow_trees([job], params, gain_form)[0]

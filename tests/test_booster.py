@@ -268,6 +268,26 @@ def test_train_many_equals_training_each_model_alone(preset):
         assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
 
 
+@pytest.mark.parametrize("preset", [default_preset, fsl_preset])
+def test_train_many_mixes_greedy_and_extra_trees_models(preset):
+    # greedy and extra-trees models share one batch; each equals training it alone
+    ds = _mixed_binary(300, seed=4)
+    datasets, params_list = [], []
+    for i, (k, extra) in enumerate(((16, True), (40, False), (64, True), (150, False))):
+        params = dataclasses.replace(preset(), n_rounds=15, seed=20 + i, extra_trees=extra)
+        shot = sample_k_shot(ds, k, seed=i)
+        datasets.append(bin_features(ds.take(shot.indices), params.max_bin,
+                                     params.min_data_in_bin))
+        params_list.append(params)
+    batch = train_many(datasets, params_list)
+    for bds, params, model in zip(datasets, params_list, batch):
+        assert model.params == params
+        assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
+    other = dataclasses.replace(params_list[1], num_leaves=params_list[1].num_leaves + 1)
+    with pytest.raises(ValidationError, match="except seed and extra_trees"):
+        train_many(datasets[:2], [params_list[0], other])
+
+
 def test_train_many_rejects_mixed_parameters():
     bds = bin_features(make_synthetic_binary(n_rows=40, seed=0), 255, 3)
     assert train_many([], []) == []

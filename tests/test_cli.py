@@ -87,6 +87,23 @@ def test_train_predict_round_trip(tmp_path, binary_csv):
     assert np.array_equal(got, expected)
 
 
+def test_predict_rejects_bundle_without_features(tmp_path, binary_csv, capsys):
+    data, schema = binary_csv
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--preset", "fsl", "--seed", "3", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    del doc["features"]
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    preds = tmp_path / "preds.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(data),
+                 "--out", str(preds)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "features" in err
+    assert not preds.exists()
+
+
 def test_train_deterministic_output_bytes(tmp_path, binary_csv):
     data, schema = binary_csv
     out1 = tmp_path / "m1.json"

@@ -1,10 +1,14 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewboost import stacking
+from fewboost.booster import predict, train
+from fewboost.dataset import bin_features
 from fewboost.errors import ValidationError
 from fewboost.fsl import fsl_preset
 from fewboost.metrics import mae, mse
@@ -137,6 +141,73 @@ def test_train_level0_extra_trees_is_the_only_difference():
     assert not np.array_equal(result.meta_features, result2.meta_features)
 
 
+def _train_alone(ds, cfg):
+    """One config trained by itself, as level-0 training would without a batch."""
+    sub = ds.take(cfg.shot_indices).select_features(cfg.feature_set)
+    if cfg.winsor_quantiles is not None:
+        sub.target = winsorize(sub.target, *cfg.winsor_quantiles)
+    params = dataclasses.replace(cfg.params, objective="mse")
+    return train(bin_features(sub, params.max_bin, params.min_data_in_bin), params)
+
+
+def _count_train_many(monkeypatch):
+    calls = []
+    real = stacking.train_many
+
+    def counted(datasets, params_list):
+        calls.append(len(datasets))
+        return real(datasets, params_list)
+
+    monkeypatch.setattr(stacking, "train_many", counted)
+    return calls
+
+
+def test_train_level0_trains_the_zoo_as_one_batch_equal_to_each_alone(monkeypatch):
+    ds = make_synthetic_stock(n_rows=500, seed=2)
+    configs = _zoo(ds, k=60, seed=3)
+    assert {c.params.extra_trees for c in configs} == {True, False}
+    calls = _count_train_many(monkeypatch)
+    result = train_level0(ds, configs)
+    assert calls == [5]
+    for j, (cfg, fit) in enumerate(zip(configs, result.fits)):
+        alone = _train_alone(ds, cfg)
+        assert fit.config is cfg
+        assert json.dumps(fit.model.to_dict()) == json.dumps(alone.to_dict())
+        want = predict(alone, ds.values[np.ix_(result.meta_indices, cfg.feature_set)])
+        assert np.array_equal(result.meta_features[:, j], want)
+
+
+def test_train_level0_batches_only_configs_that_share_parameters(monkeypatch):
+    ds = make_synthetic_stock(n_rows=500, seed=2)
+    configs = _zoo(ds, k=60, seed=3)
+    configs[2] = dataclasses.replace(
+        configs[2], params=dataclasses.replace(configs[2].params, num_leaves=6))
+    calls = _count_train_many(monkeypatch)
+    result = train_level0(ds, configs)
+    assert calls == [4, 1]
+    for cfg, fit in zip(configs, result.fits):
+        assert json.dumps(fit.model.to_dict()) == json.dumps(_train_alone(ds, cfg).to_dict())
+
+
+@pytest.mark.parametrize("broken, message", [
+    ({"shot_indices": np.array([], dtype=np.intp)}, "training requires at least one row"),
+    ({"winsor_quantiles": (0.9, 0.1)}, "quantiles must satisfy 0 <= lo_q < hi_q <= 1"),
+])
+def test_train_level0_failing_config_names_itself_before_any_training(monkeypatch, broken,
+                                                                      message):
+    ds = make_synthetic_stock(n_rows=400, seed=0)
+    configs = _zoo(ds)
+    configs[-1] = dataclasses.replace(configs[-1], **broken)
+
+    def no_training(*_):
+        raise AssertionError("a model trained before every config was checked")
+
+    monkeypatch.setattr(stacking, "train_many", no_training)
+    with pytest.raises(ValidationError) as info:
+        train_level0(ds, configs)
+    assert str(info.value) == f"level-0 config {configs[-1].name!r}: {message}"
+
+
 def test_level0_beats_constant_baseline_within_margin():
     ds = make_synthetic_stock(n_rows=700, seed=2)
     result = train_level0(ds, _zoo(ds, k=100, seed=1))
@@ -248,6 +319,30 @@ def test_pipeline_fit_predict_and_round_trip(tmp_path):
     assert np.array_equal(loaded.predict_score(ds.values),
                           pipeline.predict_score(ds.values))
     assert np.array_equal(loaded.predict_actions(ds.values), actions)
+
+
+def test_pipeline_writes_nothing_to_stdout_and_scores_are_finite(capsys, monkeypatch):
+    # a benchmark run's last stdout line is its JSON result: the stacked
+    # pipeline must print nothing and give finite scores and R2 history
+    histories = []
+    real = stacking.train_mlp
+
+    def recorded(*args, **kwargs):
+        mlp, history = real(*args, **kwargs)
+        histories.append(history)
+        return mlp, history
+
+    monkeypatch.setattr(stacking, "train_mlp", recorded)
+    full = make_synthetic_stock(n_rows=1200, seed=6)
+    train_ds, held = full.take(np.arange(900)), full.take(np.arange(900, 1200))
+    configs = make_default_zoo(train_ds, k_per_model=100, seed=7)
+    pipeline = fit_stacking(train_ds, configs, {"sell": 0.25, "hold": 0.5, "buy": 0.25},
+                            seed=7)
+    scores = pipeline.predict_score(held.values)
+    assert capsys.readouterr().out == ""
+    assert scores.shape == (300,) and np.isfinite(scores).all()
+    assert len(histories) == 1 and len(histories[0]) > 0
+    assert np.isfinite(histories[0]).all()
 
 
 def test_pipeline_actions_beat_always_hold_on_held_out():

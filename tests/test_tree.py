@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -563,5 +564,44 @@ def test_grow_trees_in_lockstep_match_frozen_reference(seed):
         ref_rng = np.random.default_rng(tree_seed)
         want = reference_tree.grow_tree(job.bds, job.grads, job.row_set, job.feature_subset,
                                         params, ref_rng, gain_form=gain_form)
+        assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
+        assert job.rng.random() == ref_rng.random()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # saturated sigmoids divide by ~0
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_mixed_greedy_and_extra_trees_batch_matches_frozen_reference(seed):
+    # greedy and extra-trees jobs share every scan of one batch; each tree
+    # equals the reference grown alone in its own mode, draws included, and
+    # the greedy trees keep the batch's gain form
+    rng = np.random.default_rng(seed)
+    objective = str(rng.choice(OBJECTIVES))
+    params = Params(
+        objective=objective,
+        min_data_in_leaf=int(rng.choice([1, 2, 3, 5, 20])),
+        num_leaves=int(rng.integers(2, 9)),
+        extra_trees=bool(rng.integers(2)),
+        max_cat_to_onehot=int(rng.choice([1, 3, 100])),
+        min_data_per_group=int(rng.choice([1, 2, 5])),
+        cat_l2=float(rng.choice([0.0, 1.0, 10.0])),
+        cat_smooth=float(rng.choice([0.0, 1.0, 10.0])),
+    )
+    gain_form = str(rng.choice(["hessian", "variance"]))
+    n_jobs = int(rng.integers(2, 7))
+    modes = [True, False] + [bool(rng.integers(2)) for _ in range(n_jobs - 2)]
+    rng.shuffle(modes)
+    jobs, tree_seeds = [], []
+    for extra in modes:
+        tree_seeds.append(int(rng.integers(2**32)))
+        jobs.append(GrowJob(*_random_grow_input(rng, objective),
+                            rng=np.random.default_rng(tree_seeds[-1]), extra_trees=extra))
+    got = grow_trees(jobs, params, gain_form=gain_form)
+    assert len(got) == len(jobs)
+    for job, tree, tree_seed in zip(jobs, got, tree_seeds):
+        ref_rng = np.random.default_rng(tree_seed)
+        want = reference_tree.grow_tree(job.bds, job.grads, job.row_set, job.feature_subset,
+                                        dataclasses.replace(params, extra_trees=job.extra_trees),
+                                        ref_rng, gain_form=gain_form)
         assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
         assert job.rng.random() == ref_rng.random()
