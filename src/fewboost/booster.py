@@ -3,16 +3,15 @@
 A model is the initial score plus the eta-scaled sum of tree outputs, pushed
 through the objective's link (sigmoid for binary log-loss, identity
 otherwise). Training is deterministic for a fixed seed. :func:`train_many`
-trains a batch of models that share their parameters (all but the seed and
-the greedy or extra-trees split selection) in lockstep: each boosting round
-grows every model's tree in one :func:`~fewboost.tree.grow_trees` call,
-whose growth steps each make one split scan for all of them, greedy and
-extra-trees trees alike. :func:`train` is a batch of one.
+trains a batch of models in lockstep, each under its own parameters: each
+boosting round grows the tree of every model still short of its
+``n_rounds`` in one :func:`~fewboost.tree.grow_trees` call, whose growth
+steps each make one split scan for all of them, whatever their presets.
+:func:`train` is a batch of one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -148,6 +147,8 @@ def check_trainable(bds: BinnedDataset, params: Params) -> None:
         raise ValidationError("training requires a target column")
     if bds.n_rows < 1:
         raise ValidationError("training requires at least one row")
+    if not np.all(np.isfinite(bds.target)):
+        raise ValidationError("training targets must be finite numbers")
     if params.objective == "binary-logloss" and not np.all(np.isin(bds.target, (0.0, 1.0))):
         raise ValidationError("binary-logloss requires targets in {0, 1}")
 
@@ -182,7 +183,7 @@ class _Boosting:
             feats = np.sort(rng.choice(bds.n_features, size=size, replace=False))
         else:
             feats = self.all_feats
-        return GrowJob(bds, grads, rows, feats, rng, params.extra_trees)
+        return GrowJob(bds, grads, rows, feats, rng, params)
 
     def add(self, tree: Tree) -> None:
         self.scores += self.params.eta * tree.predict_bins(self.bds.bins)
@@ -193,39 +194,26 @@ class _Boosting:
                      params=self.params, mapper=list(self.bds.mapper))
 
 
-def batch_key(params: Params) -> Params:
-    """``params`` without the fields a :func:`train_many` batch may vary.
-
-    Models can train in one batch exactly when their keys are equal.
-    """
-    return dataclasses.replace(params, seed=0, extra_trees=False)
-
-
 def train_many(datasets: Sequence[BinnedDataset], params_list: Sequence[Params]) -> list[Model]:
     """Train one model per (dataset, params) pair, growing each round's trees in lockstep.
 
-    The parameters must agree on every field except ``seed`` and
-    ``extra_trees``: greedy and extra-trees models share a batch. Each model
-    draws from its own ``default_rng(seed)`` in the order :func:`train` uses
-    (bag, then features, then the tree's draws), and each round's trees grow
-    together through :func:`~fewboost.tree.grow_trees`, so every model equals
-    the one :func:`train` returns for its pair alone. Every dataset is checked
-    by :func:`check_trainable` before any training starts.
+    The parameters may differ in any field. Each model draws from its own
+    ``default_rng(seed)`` in the order :func:`train` uses (bag, then
+    features, then the tree's draws), and each round's trees grow together
+    through :func:`~fewboost.tree.grow_trees`, each under its own model's
+    parameters; a model leaves the batch once its ``n_rounds`` trees are
+    grown. So every model equals the one :func:`train` returns for its pair
+    alone. Every dataset is checked by :func:`check_trainable` before any
+    training starts.
     """
     if len(datasets) != len(params_list):
         raise ValidationError("train_many needs one Params per dataset")
-    if not datasets:
-        return []
-    shared = params_list[0]
-    if any(batch_key(p) != batch_key(shared) for p in params_list):
-        raise ValidationError("models trained together must share every parameter "
-                              "except seed and extra_trees")
     for bds, params in zip(datasets, params_list):
         check_trainable(bds, params)
     runs = [_Boosting(bds, params) for bds, params in zip(datasets, params_list)]
-    for it in range(shared.n_rounds):
-        trees = grow_trees([run.next_job(it) for run in runs], shared)
-        for run, tree in zip(runs, trees):
+    for it in range(max((p.n_rounds for p in params_list), default=0)):
+        active = [run for run in runs if it < run.params.n_rounds]
+        for run, tree in zip(active, grow_trees([run.next_job(it) for run in active])):
             run.add(tree)
     return [run.model() for run in runs]
 

@@ -105,7 +105,9 @@ def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_tar
     ``schema`` maps every CSV column to one of ``numeric``, ``categorical``,
     ``target`` or ``ignore`` (a mapping, or a path to a JSON file of the same
     shape). Empty cells are missing values; categorical strings are encoded
-    as dense codes in order of first appearance.
+    as dense codes in order of first appearance. A target cell must hold a
+    finite number: an empty, non-numeric, ``nan`` or infinite one raises
+    :class:`ParseError` naming its row and column.
     """
     if not isinstance(schema, Mapping):
         schema = load_schema(schema)
@@ -175,12 +177,18 @@ def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_tar
                 if tok == "":
                     raise ParseError(f"{path}: row {row_no}: missing target value")
                 try:
-                    targets.append(float(tok))
+                    value = float(tok)
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {row_no}, column {target_col!r}: "
                         f"non-numeric token {tok!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {row_no}, column {target_col!r}: "
+                        f"non-finite target {tok!r}"
+                    )
+                targets.append(value)
 
     values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(feat_pos))
     categories = [

@@ -8,15 +8,16 @@ row sampling, and categorical restrictions lifted.
 ``run_benchmark`` replays the k-shot protocol: for every (preset, shot
 count, seed) cell it draws a stratified train set, trains, and scores AUC on
 every row not drawn. Cells are reported as mean, sd and median over seeds,
-plus a per-preset average across shot counts. The cells of one preset and
-seed, one per shot count, train as one lockstep batch, so each growth step
-makes one split scan for all of them; the report is the same as training
-each cell alone with ``run_cell``.
+plus a per-preset average across shot counts. Every cell of the grid, of
+every preset, shot count and seed, trains in one lockstep batch, so each
+growth step makes one split scan for all of them; the report is the same as
+training each cell alone with ``run_cell``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import statistics
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -129,7 +130,7 @@ class BenchmarkCell:
     @property
     def median(self) -> float | None:
         v = self.values
-        return float(np.median(v)) if v else None
+        return float(statistics.median(v)) if v else None  # np.median imports numpy.ma
 
 
 @dataclass
@@ -235,38 +236,17 @@ def run_cell(ds: Dataset, k: int, seed: int, params: Params) -> float:
     return _cell_auc(ds, eval_idx, train(bds, params))
 
 
-def _run_row(ds: Dataset, shots: Sequence[int],
-             params: Params) -> list[tuple[float | None, str | None]]:
-    """Every shot count's (AUC, error) for one preset and seed (``params.seed``).
-
-    The cells that sample, bin and validate are trained as one batch; a cell
-    that fails keeps the message :func:`run_cell` would raise.
-    """
-    results: list[tuple[float | None, str | None]] = [(None, None)] * len(shots)
-    ready = []
-    for i, k in enumerate(shots):
-        try:
-            ready.append((i, *_shot_cell(ds, k, params)))
-        except FewboostError as exc:
-            results[i] = (None, str(exc))
-    models = train_many([bds for _, _, bds in ready], [params] * len(ready))
-    for (i, eval_idx, _), model in zip(ready, models):
-        try:
-            results[i] = (_cell_auc(ds, eval_idx, model), None)
-        except FewboostError as exc:
-            results[i] = (None, str(exc))
-    return results
-
-
 def run_benchmark(ds: Dataset, shots: Sequence[int], seeds: Sequence[int],
                   presets) -> BenchmarkReport:
     """Evaluate every (preset, shot count, seed) cell of the grid.
 
     Cell failures (validation or undefined-metric errors) are recorded in
-    the report instead of aborting the grid. The shot sample for a given
+    the report instead of aborting the grid; a failing cell keeps the
+    message :func:`run_cell` would raise. The shot sample for a given
     (k, seed) is identical across presets, so presets are compared on the
-    same splits. For each preset and seed, the cells of every shot count are
-    trained together by :func:`~fewboost.booster.train_many`; the report
+    same splits. Every cell is sampled, binned and checked first, and the
+    cells that pass train together in one
+    :func:`~fewboost.booster.train_many` batch, presets mixed; the report
     equals one built cell by cell with :func:`run_cell`.
     """
     if not shots:
@@ -274,12 +254,32 @@ def run_benchmark(ds: Dataset, shots: Sequence[int], seeds: Sequence[int],
     named = _normalize_presets(presets)
     shots = [int(k) for k in shots]
     seeds = [int(s) for s in seeds]
-    cells = {name: {k: BenchmarkCell(preset=name, k=k) for k in shots} for name, _ in named}
-    for name, params in named:
+    # (preset position, k, seed) -> (AUC, error message)
+    results: dict[tuple[int, int, int], tuple[float | None, str | None]] = {}
+    ready, datasets, params_list = [], [], []
+    for i, (_, preset) in enumerate(named):
         for s in seeds:
-            row = _run_row(ds, shots, dataclasses.replace(params, seed=s))
-            for k, (value, err) in zip(shots, row):
-                cell = cells[name][k]
+            params = dataclasses.replace(preset, seed=s)
+            for k in shots:
+                try:
+                    eval_idx, bds = _shot_cell(ds, k, params)
+                except FewboostError as exc:
+                    results[i, k, s] = (None, str(exc))
+                    continue
+                ready.append(((i, k, s), eval_idx))
+                datasets.append(bds)
+                params_list.append(params)
+    for (key, eval_idx), model in zip(ready, train_many(datasets, params_list)):
+        try:
+            results[key] = (_cell_auc(ds, eval_idx, model), None)
+        except FewboostError as exc:
+            results[key] = (None, str(exc))
+    cells = {name: {k: BenchmarkCell(preset=name, k=k) for k in shots} for name, _ in named}
+    for i, (name, _) in enumerate(named):
+        for k in shots:
+            cell = cells[name][k]
+            for s in seeds:
+                value, err = results[i, k, s]
                 cell.aucs.append(value)
                 if err is not None:
                     cell.failures.append((s, err))

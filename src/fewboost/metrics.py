@@ -44,8 +44,9 @@ def auc(labels, scores) -> MetricValue:
     exactly 0.5.
     """
     labels, scores = _pair(labels, scores, "auc")
-    uniq = np.unique(labels)
-    if not np.all(np.isin(uniq, (0.0, 1.0))):
+    # no bare np.unique here: it imports numpy.ma (about 1 MB) on first use
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        uniq = np.unique(labels, return_counts=True)[0]
         raise ValidationError(f"auc: labels must be binary 0/1, got values {uniq}")
     pos = labels == 1.0
     n_pos = int(pos.sum())

@@ -2,12 +2,19 @@
 
 The dataclass defaults are the engine's standard (large-sample) values; the
 few-shot preset lives in :mod:`fewboost.fsl`. Every field is independently
-settable so experiments can isolate the effect of a single knob.
+settable so experiments can isolate the effect of a single knob. Every field
+is type-checked when set: integer fields take Python or numpy integers,
+float fields take any finite real number, ``extra_trees`` takes a ``bool``
+and ``objective`` a string; a ``bool`` is not a number here. A numpy scalar
+is stored as the Python number it equals, so parameters always serialize to
+JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -36,6 +43,8 @@ class Params:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _checked(f.name, f.type, getattr(self, f.name)))
         if self.num_leaves < 2:
             raise ValidationError("num_leaves must be >= 2")
         if not 0.0 < self.eta <= 1.0:
@@ -69,8 +78,38 @@ class Params:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any], base: "Params | None" = None) -> "Params":
         """Build from a (possibly partial) mapping, layered over ``base``."""
+        if not isinstance(d, Mapping):
+            raise ValidationError(f"parameters must be a mapping, got {type(d).__name__}")
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - names
         if unknown:
             raise ValidationError(f"unknown parameter(s): {sorted(unknown)}")
         return dataclasses.replace(base if base is not None else cls(), **dict(d))
+
+
+_WANT = {"bool": "a bool", "str": "a string", "int": "an integer", "float": "a finite real number"}
+
+
+def _checked(name: str, kind: str, value):
+    """``value`` for field ``name`` of annotated type ``kind``, or ValidationError.
+
+    A numpy integer or real comes back as the Python ``int`` or ``float`` it
+    equals.
+    """
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    elif kind == "str":
+        ok = isinstance(value, str)
+    elif isinstance(value, bool):  # an int subclass, but neither a count nor a rate
+        ok = False
+    elif kind == "int":
+        ok = isinstance(value, numbers.Integral)
+        if ok:
+            value = int(value)
+    else:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        if ok and type(value) not in (int, float):
+            value = float(value)
+    if not ok:
+        raise ValidationError(f"{name} must be {_WANT[kind]}, got {type(value).__name__} {value!r}")
+    return value

@@ -4,11 +4,11 @@ Level-0 models are boosted-tree regressors, each trained on its own
 disjoint shot set with its own feature subset and optional winsorized
 target, so diversity comes from the sample space as much as from the model
 space. The zoo trains as one lockstep batch
-(:func:`~fewboost.booster.train_many`): each boosting round grows every
-model's tree together, greedy and extra-trees alike, with one split scan per
-growth step. Their predictions on the leftover (meta) rows feed a small MLP
-blender, and the blended score is discretized into sell/hold/buy actions by
-thresholds calibrated to a target action distribution.
+(:func:`~fewboost.booster.train_many`), whatever parameters its configs
+carry: each boosting round grows every model's tree together, with one split
+scan per growth step. Their predictions on the leftover (meta) rows feed a
+small MLP blender, and the blended score is discretized into sell/hold/buy
+actions by thresholds calibrated to a target action distribution.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .booster import Model, batch_key, check_trainable, predict, train_many
+from .booster import Model, check_trainable, predict, train_many
 from .dataset import CATEGORICAL, Dataset, bin_features
 from .errors import ValidationError
 from .fsl import fsl_preset
@@ -96,12 +96,12 @@ def train_level0(ds: Dataset, configs: Sequence[Level0Config]) -> Level0Result:
 
     Level-0 models are regressors: the objective is forced to squared error.
     The meta pool is every row not claimed by any shot set and must be
-    non-empty. Every config is sliced, winsorized, binned and checked before
-    any model trains. Then configs whose parameters differ only in ``seed``
-    and ``extra_trees`` train as one :func:`~fewboost.booster.train_many`
-    batch (the whole :func:`make_default_zoo` is one), and each model equals
-    the one :func:`~fewboost.booster.train` returns for its config alone.
-    ``meta_features`` columns follow config order.
+    non-empty. Every config's feature indices are checked, and every config
+    is sliced, winsorized, binned and checked before any model trains; a
+    failing config raises ``level-0 config '<name>': <message>``. Then all
+    configs train as one :func:`~fewboost.booster.train_many` batch, and
+    each model equals the one :func:`~fewboost.booster.train` returns for
+    its config alone. ``meta_features`` columns follow config order.
     """
     if not configs:
         raise ValidationError("at least one level-0 config is required")
@@ -118,6 +118,10 @@ def train_level0(ds: Dataset, configs: Sequence[Level0Config]) -> Level0Result:
     datasets, params_list = [], []
     for cfg in configs:
         try:
+            bad = [j for j in cfg.feature_set if not 0 <= j < ds.n_features]
+            if bad:
+                raise ValidationError(
+                    f"feature index {bad[0]} out of range for {ds.n_features} features")
             sub = ds.take(cfg.shot_indices).select_features(cfg.feature_set)
             if cfg.winsor_quantiles is not None:
                 lo, hi = cfg.winsor_quantiles
@@ -130,14 +134,8 @@ def train_level0(ds: Dataset, configs: Sequence[Level0Config]) -> Level0Result:
         datasets.append(bds)
         params_list.append(params)
 
-    batches: dict[Params, list[int]] = {}
-    for i, params in enumerate(params_list):
-        batches.setdefault(batch_key(params), []).append(i)
-    models: dict[int, Model] = {}
-    for batch in batches.values():
-        models.update(zip(batch, train_many([datasets[i] for i in batch],
-                                            [params_list[i] for i in batch])))
-    fits = [Level0Fit(config=cfg, model=models[i]) for i, cfg in enumerate(configs)]
+    fits = [Level0Fit(config=cfg, model=model)
+            for cfg, model in zip(configs, train_many(datasets, params_list))]
     meta_cols = [predict(fit.model, ds.values[np.ix_(meta_indices, fit.config.feature_set)])
                  for fit in fits]
     return Level0Result(

@@ -6,9 +6,10 @@ and splits its best leaf, and all the new children, of every tree, go to one
 split scan; at the first step the scan takes the roots. For each tree the
 pops, splits and random draws come in the same order as growing it alone,
 so a tree does not depend on which other trees share its steps. Each job
-picks greedy or extra-trees selection for its own tree, so greedy and
-extra-trees trees share one batch and every scan of it.
-:func:`grow_tree` is a batch of one.
+may carry its own :class:`~fewboost.params.Params`: the scan gate, the leaf
+budget, greedy or extra-trees selection, the leaf floor and the categorical
+knobs are that tree's own, so trees of different presets share one batch and
+every scan of it. :func:`grow_tree` is a batch of one.
 
 Each scanned node builds its gradient, hessian and row-count histograms with
 one ``bincount`` each over feature-offset bin ids, laid out as a (features x
@@ -16,15 +17,15 @@ bins) block. The scan stacks these blocks into one ragged block of (node,
 feature) rows, padded to the widest feature of the batch; column
 ``missing_bin`` of a row holds its missing-value rows, and padded columns are
 never admissible. Numeric boundaries are scored by one ``cumsum`` along the
-rows. Categorical features with at most ``max_cat_to_onehot`` present
-categories score every one-vs-other split in the same vectorised pass. With
-more categories, the categories are ordered by their smoothed
-gradient/hessian ratio and each prefix of that order is a candidate left
-set. Selection is vectorised too, by a per-row mode: a greedy tree's rows
-take their first best boundary; an extra-trees tree's rows count their
-admissible boundaries, and all of that tree's rows of one step draw with a
-single ``rng.integers(0, sizes)``, which yields the same stream as one draw
-per row in node and feature order. Across
+rows, against each row's own leaf floor. Categorical features with at most
+their node's ``max_cat_to_onehot`` present categories score every
+one-vs-other split in the same vectorised pass. With more categories, the
+categories are ordered by their smoothed gradient/hessian ratio and each
+prefix of that order is a candidate left set. Selection is vectorised too,
+by a per-row mode: a greedy tree's rows take their first best boundary; an
+extra-trees tree's rows count their admissible boundaries, and all of that
+tree's rows of one step draw with a single ``rng.integers(0, sizes)``, which
+yields the same stream as one draw per row in node and feature order. Across
 a node's features the first strictly highest gain wins, among gains that are
 finite and positive. The public one-feature selectors
 (:func:`find_best_split`, :func:`extra_random_split`,
@@ -161,13 +162,13 @@ def variance_gain(g_left, n_left, g_right, n_right, n_node) -> np.ndarray | floa
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _gain(gl, hl, nl, gr, hr, nr, parent, n_node, min_leaf: int, gain_form: str):
+def _gain(gl, hl, nl, gr, hr, nr, parent, n_node, min_leaf, gain_form: str):
     """Elementwise gain of sending (gl, hl, nl) left and (gr, hr, nr) right.
 
     Returns the gain, -inf where a side holds fewer than ``min_leaf`` rows or
     the gain is NaN, and the row-count gate itself. ``parent`` is the parent
-    score of the hessian form and ``n_node`` the node's row count; both
-    broadcast against the sides.
+    score of the hessian form, ``n_node`` the node's row count and
+    ``min_leaf`` the leaf floor; all three broadcast against the sides.
     """
     ok = (nl >= min_leaf) & (nr >= min_leaf)
     if gain_form == "hessian":
@@ -179,7 +180,7 @@ def _gain(gl, hl, nl, gr, hr, nr, parent, n_node, min_leaf: int, gain_form: str)
     return np.where(ok, np.where(np.isnan(gain), -np.inf, gain), -np.inf), ok
 
 
-def _both_directions(miss_left, miss_right, parent, n_node, min_leaf: int,
+def _both_directions(miss_left, miss_right, parent, n_node, min_leaf,
                      gain_form: str = "hessian"):
     """Score each candidate with its missing rows on either side.
 
@@ -195,7 +196,7 @@ def _both_directions(miss_left, miss_right, parent, n_node, min_leaf: int,
     return np.where(use_left, gain_l, gain_r), use_left, n_left, ok_l | ok_r
 
 
-def _left_sets(gl, hl, nl, mg, mh, mc, tg, th, tn, min_leaf: int, l2: float, parent):
+def _left_sets(gl, hl, nl, mg, mh, mc, tg, th, tn, min_leaf, l2: float, parent):
     """Both missing directions for category sets whose sums exclude missing rows.
 
     ``tg``, ``th`` and ``tn`` are the node's totals. ``l2`` is added to every
@@ -246,15 +247,18 @@ def build_histogram(bds: BinnedDataset, feature: int, node: NodeStats, grads) ->
 
 
 def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
-                 params: Params, gain_form: str, draws) -> list[SplitCandidate | None]:
+                 node_params: Sequence[Params], gain_form: str,
+                 draws) -> list[SplitCandidate | None]:
     """Best split of every node in a ragged (node, feature) histogram block.
 
     Node ``j`` owns rows ``starts[j]:starts[j + 1]``, one per sampled feature
-    in feature order, and ``totals`` holds every node's (sum_grad, sum_hess,
-    n). Row ``r`` of ``grad``/``hess``/``count`` is the histogram of feature
-    ``features[r]``: real bins first, its missing-value rows in column
-    ``missing[r]``, zero padding after that. Numeric boundary ``d`` sends
-    real bins ``0..d`` left.
+    in feature order, ``totals`` holds every node's (sum_grad, sum_hess, n)
+    and ``node_params[j]`` its tree's parameters: each row is gated by its
+    node's ``min_data_in_leaf`` and ``max_cat_to_onehot``, and its prefix
+    cuts use its node's categorical knobs. Row ``r`` of
+    ``grad``/``hess``/``count`` is the histogram of feature ``features[r]``:
+    real bins first, its missing-value rows in column ``missing[r]``, zero
+    padding after that. Numeric boundary ``d`` sends real bins ``0..d`` left.
 
     ``draws`` lists ``(rng, lo, hi)`` for every extra-trees tree: the rows
     ``lo:hi`` belong to the tree drawing from ``rng``, and each of them with
@@ -269,12 +273,15 @@ def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
     width = grad.shape[1]
     if width < 2:  # no feature has a real bin
         return [None] * n_nodes
-    min_leaf = params.min_data_in_leaf
     n_rows = len(features)
     rows = np.arange(n_rows)
     node_size = np.diff(starts)
     node_of = np.repeat(np.arange(n_nodes), node_size)
     tg, th, tn = (np.asarray(t)[node_of][:, None] for t in totals)
+    # each row's leaf floor and one-vs-other limit, from its node's parameters
+    min_leaf, max_onehot = np.array([(p.min_data_in_leaf, p.max_cat_to_onehot)
+                                     for p in node_params])[node_of].T
+    min_leaf = min_leaf[:, None]
     mg, mh, mc = (a[rows, missing][:, None] for a in (grad, hess, count))
     numeric = ~is_cat
     extra = np.zeros(n_rows, dtype=bool)  # rows of extra-trees trees
@@ -320,7 +327,7 @@ def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
         one_hot = is_cat.copy()
         if is_cat.any():
             present = (count > 0) & (np.arange(width) < missing[:, None])
-            one_hot &= present.sum(axis=1) <= params.max_cat_to_onehot
+            one_hot &= present.sum(axis=1) <= max_onehot
         if one_hot.any():
             one_gain, one_left, one_n, _ = _left_sets(grad, hess, count, mg, mh, mc,
                                                       tg, th, tn, min_leaf, 0.0, parent)
@@ -331,7 +338,7 @@ def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
         for r in prefix_rows:
             j = node_of[r]
             cuts[r] = _prefix_cuts(grad[r], hess[r], count[r], int(missing[r]),
-                                   totals[0][j], totals[1][j], totals[2][j], params)
+                                   totals[0][j], totals[1][j], totals[2][j], node_params[j])
             if extra[r] and cuts[r] is not None:
                 sizes[r] = cuts[r][4].size
 
@@ -414,7 +421,7 @@ def _one_feature(hist: FeatureHistogram, node: NodeStats, params: Params, gain_f
     return _best_splits(np.array([hist.feature]), np.array([hist.missing_bin]),
                         np.array([hist.is_categorical]), hist.sum_grad[None, :],
                         hist.sum_hess[None, :], hist.count[None, :],
-                        ([node.sum_grad], [node.sum_hess], [node.n]), [0, 1], params,
+                        ([node.sum_grad], [node.sum_hess], [node.n]), [0, 1], [params],
                         gain_form, [] if rng is None else [(rng, 0, 1)])[0]
 
 
@@ -477,13 +484,15 @@ def _goes_left(fb: np.ndarray, left_cats, threshold_bin: int) -> np.ndarray:
     return np.isin(fb, left_cats)
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
+    """One node; a leaf has ``feature`` -1. Slots keep a batch's many small trees light."""
+
     value: float = 0.0
     count: int = 0
     feature: int = -1
     threshold_bin: int = -1
-    left_cats: np.ndarray | None = None
+    left_cats: tuple[int, ...] | None = None
     missing_bin: int = -1
     default_left: bool = False
     left: int = -1
@@ -494,7 +503,7 @@ class TreeNode:
         return self.feature < 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Tree:
     nodes: list[TreeNode] = field(default_factory=list)
     num_leaves_used: int = 0
@@ -567,7 +576,7 @@ class Tree:
             node.default_left = bool(nd["default_left"])
             node.missing_bin = int(nd["missing_bin"])
             if "left_cats" in nd:
-                node.left_cats = np.asarray(nd["left_cats"], dtype=np.int64)
+                node.left_cats = tuple(int(c) for c in nd["left_cats"])
             else:
                 node.threshold_bin = int(nd["threshold_bin"])
             node.left = build(nd["left"])
@@ -586,11 +595,12 @@ def _leaf_value(stats: NodeStats) -> float:
 
 
 class GrowJob(NamedTuple):
-    """One tree to grow: its data, gradients, in-bag rows, features, generator and mode.
+    """One tree to grow: its data, gradients, in-bag rows, features, generator and params.
 
-    Every job of a batch needs its own generator. ``extra_trees`` picks
-    random (True) or greedy (False) split selection for this tree; None
-    follows ``params.extra_trees``.
+    Every job of a batch needs its own generator. ``params`` governs this
+    tree alone (its leaf floor and budget, greedy or extra-trees selection
+    and the categorical knobs); None means the ``params`` passed to
+    :func:`grow_trees`.
     """
 
     bds: BinnedDataset
@@ -598,18 +608,20 @@ class GrowJob(NamedTuple):
     row_set: Any
     feature_subset: Any
     rng: np.random.Generator
-    extra_trees: bool | None = None
+    params: Params | None = None
 
 
 class _Grower:
     """One tree's growth state: its frontier of scanned leaves and its offset bins."""
 
-    def __init__(self, job: GrowJob, params: Params):
+    def __init__(self, job: GrowJob, params: Params | None):
         row_set = np.asarray(job.row_set, dtype=np.intp)
         if row_set.size == 0:
             raise ValidationError("grow_tree requires a non-empty row set")
+        self.params = params if job.params is None else job.params
+        if self.params is None:
+            raise ValidationError("a grow job without params needs grow_trees(params=...)")
         self.bds, self.grads, self.rng = job.bds, job.grads, job.rng
-        self.extra_trees = params.extra_trees if job.extra_trees is None else job.extra_trees
         features = sorted(int(f) for f in job.feature_subset)
         fbs = [self.bds.mapper[f] for f in features]
         self.features = np.array(features, dtype=np.intp)
@@ -651,7 +663,7 @@ class _Grower:
         node.default_left = cand.default_left
         node.missing_bin = missing_bin
         if cand.left_cats is not None:
-            node.left_cats = np.asarray(cand.left_cats, dtype=np.int64)
+            node.left_cats = cand.left_cats
         else:
             node.threshold_bin = cand.threshold_bin
         node.left = len(nodes)
@@ -662,14 +674,14 @@ class _Grower:
         return [(self, node.left, left_stats), (self, node.right, right_stats)]
 
 
-def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int, params: Params,
+def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int,
           gain_form: str) -> list[SplitCandidate | None]:
     """One split scan over every pending node; each tree's nodes are adjacent."""
     out: list[SplitCandidate | None] = [None] * len(pending)
     scanned, growers, hists, totals, starts, draws = [], [], [], ([], [], []), [0], []
     for i, (grower, _, stats) in enumerate(pending):
         # no boundary can leave min_data_in_leaf rows on both sides
-        if stats.n < 2 * params.min_data_in_leaf or grower.features.size == 0:
+        if stats.n < 2 * grower.params.min_data_in_leaf or grower.features.size == 0:
             continue
         scanned.append(i)
         growers.append(grower)
@@ -678,7 +690,7 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int, params: Par
             t.append(v)
         lo, hi = starts[-1], starts[-1] + grower.features.size
         starts.append(hi)
-        if grower.extra_trees:
+        if grower.params.extra_trees:
             if draws and draws[-1][0] is grower.rng:
                 draws[-1] = (grower.rng, draws[-1][1], hi)
             else:
@@ -689,32 +701,35 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int, params: Par
     cands = _best_splits(np.concatenate([g.features for g in growers]),
                          np.concatenate([g.missing for g in growers]),
                          np.concatenate([g.is_cat for g in growers]),
-                         grad, hess, count, totals, starts, params, gain_form, draws)
+                         grad, hess, count, totals, starts, [g.params for g in growers],
+                         gain_form, draws)
     for i, cand in zip(scanned, cands):
         out[i] = cand
     return out
 
 
-def grow_trees(jobs: Sequence[GrowJob], params: Params,
+def grow_trees(jobs: Sequence[GrowJob], params: Params | None = None,
                gain_form: str = "hessian") -> list[Tree]:
     """Grow one tree per job leaf-wise (best-first) under the leaf budget, in lockstep.
 
-    Each tree splits the frontier leaf with the highest candidate gain until
-    ``num_leaves`` is reached or nothing is splittable. All trees take their
-    growth steps together, and each step scans every new leaf of every tree
-    at once; a tree comes out as :func:`grow_tree` would grow it alone, and
-    its generator ends in the same state. Leaf values are the Newton step
-    ``-sum_grad / sum_hess`` clamped to +-1e4.
+    Each tree follows its job's ``params`` (``params`` here for a job
+    without any) and splits the frontier leaf with the highest candidate
+    gain until its ``num_leaves`` is reached or nothing is splittable. All
+    trees take their growth steps together, and each step scans every new
+    leaf of every tree at once; a tree comes out as :func:`grow_tree` would
+    grow it alone under its own parameters, and its generator ends in the
+    same state. Leaf values are the Newton step ``-sum_grad / sum_hess``
+    clamped to +-1e4.
     """
     growers = [_Grower(job, params) for job in jobs]
     width = max((g.width for g in growers), default=0)
     pending = [(g, 0, g.root) for g in growers]
     while pending:
-        for (grower, nid, stats), cand in zip(pending, _scan(pending, width, params, gain_form)):
+        for (grower, nid, stats), cand in zip(pending, _scan(pending, width, gain_form)):
             if cand is not None:
                 heapq.heappush(grower.frontier, (-cand.gain, nid, cand, stats))
         pending = [child for g in growers
-                   if g.frontier and g.tree.num_leaves_used < params.num_leaves
+                   if g.frontier and g.tree.num_leaves_used < g.params.num_leaves
                    for child in g.split()]
     return [g.tree for g in growers]
 
@@ -722,5 +737,4 @@ def grow_trees(jobs: Sequence[GrowJob], params: Params,
 def grow_tree(bds: BinnedDataset, grads, row_set, feature_subset, params: Params,
               rng: np.random.Generator, gain_form: str = "hessian") -> Tree:
     """Grow one tree leaf-wise (best-first): :func:`grow_trees` on one job."""
-    job = GrowJob(bds, grads, row_set, feature_subset, rng, params.extra_trees)
-    return grow_trees([job], params, gain_form)[0]
+    return grow_trees([GrowJob(bds, grads, row_set, feature_subset, rng)], params, gain_form)[0]

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fewboost.booster import (Model, compute_gradients, load_model, predict,
-                              save_model, train, train_many)
+from fewboost.booster import (Model, check_trainable, compute_gradients, load_model,
+                              predict, save_model, train, train_many)
 from fewboost.dataset import Dataset, bin_features
 from fewboost.errors import ValidationError
 from fewboost.fsl import default_preset, fsl_preset, sample_k_shot
@@ -283,15 +283,50 @@ def test_train_many_mixes_greedy_and_extra_trees_models(preset):
     for bds, params, model in zip(datasets, params_list, batch):
         assert model.params == params
         assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
+    # a batch that also differs in num_leaves trains each model as if alone
     other = dataclasses.replace(params_list[1], num_leaves=params_list[1].num_leaves + 1)
-    with pytest.raises(ValidationError, match="except seed and extra_trees"):
-        train_many(datasets[:2], [params_list[0], other])
+    for bds, params, model in zip(datasets, [params_list[0], other],
+                                  train_many(datasets[:2], [params_list[0], other])):
+        assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
 
 
-def test_train_many_rejects_mixed_parameters():
+def test_train_many_accepts_mixed_parameters_and_rejects_a_length_mismatch():
     bds = bin_features(make_synthetic_binary(n_rows=40, seed=0), 255, 3)
     assert train_many([], []) == []
-    with pytest.raises(ValidationError):
-        train_many([bds, bds], [Params(seed=1), Params(seed=2, num_leaves=4)])
+    params_list = [Params(seed=1, n_rounds=5), Params(seed=2, num_leaves=4, n_rounds=5)]
+    for params, model in zip(params_list, train_many([bds, bds], params_list)):
+        assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
     with pytest.raises(ValidationError):
         train_many([bds, bds], [Params()])
+
+
+def test_train_many_mixes_presets_and_round_counts():
+    # fsl and default models, each with its own n_rounds, in one batch: a model
+    # leaves the batch after its last round and equals training it alone
+    ds = _mixed_binary(300, seed=5)
+    datasets, params_list = [], []
+    for i, (preset, k, rounds) in enumerate(((fsl_preset, 16, 12), (default_preset, 64, 7),
+                                             (fsl_preset, 64, 0), (default_preset, 150, 20),
+                                             (fsl_preset, 40, 3))):
+        params = dataclasses.replace(preset(), n_rounds=rounds, seed=30 + i)
+        shot = sample_k_shot(ds, k, seed=i)
+        datasets.append(bin_features(ds.take(shot.indices), params.max_bin,
+                                     params.min_data_in_bin))
+        params_list.append(params)
+    batch = train_many(datasets, params_list)
+    for bds, params, model in zip(datasets, params_list, batch):
+        assert model.params == params
+        assert len(model.trees) == params.n_rounds
+        assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
+
+
+def test_check_trainable_rejects_non_finite_targets():
+    for bad in (np.nan, np.inf, -np.inf):
+        ds = make_synthetic_binary(n_rows=40, seed=0)
+        ds.target[7] = bad
+        bds = bin_features(ds, 255, 3)
+        for params in (Params(), Params(objective="mse")):
+            with pytest.raises(ValidationError, match="finite"):
+                check_trainable(bds, params)
+            with pytest.raises(ValidationError, match="finite"):
+                train(bds, params)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -209,3 +210,39 @@ def test_stack_defaults_to_the_few_shot_preset(tmp_path, stock_csv):
                      "--k-per-model", "40", "--seed", "0", "--out", str(out)]) == 0
         bundles.append(out.read_bytes())
     assert bundles[0] == bundles[1]
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"num_leaves": "4"}, "num_leaves"),
+    ({"extra_trees": 1}, "extra_trees"),
+    ({"eta": True}, "eta"),
+    ({"cat_l2": None}, "cat_l2"),
+])
+def test_params_file_with_a_wrong_type_fails_without_output(tmp_path, binary_csv, capsys,
+                                                            overrides, field):
+    data, schema = binary_csv
+    params_file = tmp_path / "params.json"
+    params_file.write_text(json.dumps(overrides), encoding="utf-8")
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--schema", str(schema),
+                 "--preset", "file", "--params", str(params_file), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_stack_rejects_a_non_finite_target_without_output(tmp_path, stock_csv, capsys, token):
+    data, schema = stock_csv
+    target = next(c for c, kind in json.loads(schema.read_text(encoding="utf-8")).items()
+                  if kind == "target")
+    with open(data, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[7][rows[0].index(target)] = token  # file row 8
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "pipeline.json"
+    assert main(["stack", "--data", str(data), "--schema", str(schema),
+                 "--k-per-model", "40", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: row 8, column {target!r}: non-finite target {token!r}\n")
+    assert not out.exists()

@@ -56,6 +56,14 @@ def test_load_csv_non_numeric_token_raises_with_location(tmp_path):
         load_csv(path, SCHEMA3)
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_load_csv_non_finite_target_raises_with_location(tmp_path, token):
+    path = _write(tmp_path, f"age,job,y\n31,teacher,1\n44,clerk,0\n27,clerk,{token}\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path, SCHEMA3)
+    assert str(info.value) == f"{path}: row 4, column 'y': non-finite target {token!r}"
+
+
 def test_load_csv_ragged_row_raises(tmp_path):
     path = _write(tmp_path, "age,job,y\n31,teacher,1\n44,clerk\n")
     with pytest.raises(ParseError, match="row 3"):

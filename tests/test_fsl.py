@@ -228,6 +228,28 @@ def test_benchmark_failing_cells_leave_the_rest_of_a_row_alone():
     assert report.cell("fsl", 8).aucs == [run_cell(ds, 8, s, fsl_preset()) for s in seeds]
 
 
+def test_benchmark_trains_the_whole_grid_in_one_batch(monkeypatch):
+    # every cell that samples and bins, of both presets and every seed, trains
+    # in one train_many call; the failing k=100 cells never reach it
+    from fewboost import fsl
+
+    calls = []
+    real = fsl.train_many
+
+    def counted(datasets, params_list):
+        calls.append(sorted((p.extra_trees, p.seed, bds.n_rows)
+                            for bds, p in zip(datasets, params_list)))
+        return real(datasets, params_list)
+
+    monkeypatch.setattr(fsl, "train_many", counted)
+    ds = make_synthetic_binary(n_rows=80, seed=12)
+    report = run_benchmark(ds, [4, 8, 100], [0, 1],
+                           {"fsl": fsl_preset(), "default": default_preset()})
+    assert calls == [sorted((extra, s, k) for extra in (True, False)
+                            for s in (0, 1) for k in (4, 8))]
+    assert [len(report.cell(p, 100).failures) for p in ("fsl", "default")] == [2, 2]
+
+
 def test_grid_and_train_write_nothing_to_stdout(capsys):
     # bench/run.py's last stdout line must stay its JSON result
     ds = make_synthetic_binary(n_rows=80, seed=11)

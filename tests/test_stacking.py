@@ -177,14 +177,17 @@ def test_train_level0_trains_the_zoo_as_one_batch_equal_to_each_alone(monkeypatc
         assert np.array_equal(result.meta_features[:, j], want)
 
 
-def test_train_level0_batches_only_configs_that_share_parameters(monkeypatch):
+def test_train_level0_batches_configs_with_different_parameters(monkeypatch):
     ds = make_synthetic_stock(n_rows=500, seed=2)
     configs = _zoo(ds, k=60, seed=3)
     configs[2] = dataclasses.replace(
         configs[2], params=dataclasses.replace(configs[2].params, num_leaves=6))
+    configs[4] = dataclasses.replace(
+        configs[4], params=dataclasses.replace(configs[4].params, n_rounds=12,
+                                               min_data_in_leaf=5))
     calls = _count_train_many(monkeypatch)
     result = train_level0(ds, configs)
-    assert calls == [4, 1]
+    assert calls == [5]
     for cfg, fit in zip(configs, result.fits):
         assert json.dumps(fit.model.to_dict()) == json.dumps(_train_alone(ds, cfg).to_dict())
 
@@ -206,6 +209,24 @@ def test_train_level0_failing_config_names_itself_before_any_training(monkeypatc
     with pytest.raises(ValidationError) as info:
         train_level0(ds, configs)
     assert str(info.value) == f"level-0 config {configs[-1].name!r}: {message}"
+
+
+@pytest.mark.parametrize("feature_set", [(99,), (0, 13), (-1,)])
+def test_train_level0_out_of_range_feature_names_its_config(monkeypatch, feature_set):
+    ds = make_synthetic_stock(n_rows=400, seed=0)
+    assert ds.n_features == 13
+    configs = _zoo(ds)
+    configs[1] = dataclasses.replace(configs[1], feature_set=feature_set)
+
+    def no_training(*_):
+        raise AssertionError("a model trained before every config was checked")
+
+    monkeypatch.setattr(stacking, "train_many", no_training)
+    with pytest.raises(ValidationError) as info:
+        train_level0(ds, configs)
+    bad = [j for j in feature_set if not 0 <= j < 13][0]
+    assert str(info.value) == (f"level-0 config {configs[1].name!r}: "
+                               f"feature index {bad} out of range for 13 features")
 
 
 def test_level0_beats_constant_baseline_within_margin():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fewboost.booster import GradientPairs, compute_gradients
 from fewboost.dataset import BinnedDataset, FeatureBins
+from fewboost.errors import ValidationError
 from fewboost.params import OBJECTIVES, Params
 from fewboost.tree import (GrowJob, NodeStats, build_histogram,
                            categorical_split, children_score,
@@ -534,15 +535,9 @@ def _random_grow_input(rng, objective):
     return bds, grads, rows, feats
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # saturated sigmoids divide by ~0
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=400, deadline=None)
-def test_grow_trees_in_lockstep_match_frozen_reference(seed):
-    # trees grown in one batch, with differently binned data and their own
-    # generators, each equal the reference grown alone, draws included
-    rng = np.random.default_rng(seed)
-    objective = str(rng.choice(OBJECTIVES))
-    params = Params(
+def _random_params(rng, objective):
+    """Parameters that reach every branch of the scan, as the properties draw them."""
+    return Params(
         objective=objective,
         min_data_in_leaf=int(rng.choice([1, 2, 3, 5, 20])),
         num_leaves=int(rng.integers(2, 9)),
@@ -552,6 +547,17 @@ def test_grow_trees_in_lockstep_match_frozen_reference(seed):
         cat_l2=float(rng.choice([0.0, 1.0, 10.0])),
         cat_smooth=float(rng.choice([0.0, 1.0, 10.0])),
     )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # saturated sigmoids divide by ~0
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_grow_trees_in_lockstep_match_frozen_reference(seed):
+    # trees grown in one batch, with differently binned data and their own
+    # generators, each equal the reference grown alone, draws included
+    rng = np.random.default_rng(seed)
+    objective = str(rng.choice(OBJECTIVES))
+    params = _random_params(rng, objective)
     gain_form = str(rng.choice(["hessian", "variance"]))
     jobs, tree_seeds = [], []
     for _ in range(int(rng.integers(1, 7))):
@@ -577,16 +583,7 @@ def test_mixed_greedy_and_extra_trees_batch_matches_frozen_reference(seed):
     # the greedy trees keep the batch's gain form
     rng = np.random.default_rng(seed)
     objective = str(rng.choice(OBJECTIVES))
-    params = Params(
-        objective=objective,
-        min_data_in_leaf=int(rng.choice([1, 2, 3, 5, 20])),
-        num_leaves=int(rng.integers(2, 9)),
-        extra_trees=bool(rng.integers(2)),
-        max_cat_to_onehot=int(rng.choice([1, 3, 100])),
-        min_data_per_group=int(rng.choice([1, 2, 5])),
-        cat_l2=float(rng.choice([0.0, 1.0, 10.0])),
-        cat_smooth=float(rng.choice([0.0, 1.0, 10.0])),
-    )
+    params = _random_params(rng, objective)
     gain_form = str(rng.choice(["hessian", "variance"]))
     n_jobs = int(rng.integers(2, 7))
     modes = [True, False] + [bool(rng.integers(2)) for _ in range(n_jobs - 2)]
@@ -595,13 +592,51 @@ def test_mixed_greedy_and_extra_trees_batch_matches_frozen_reference(seed):
     for extra in modes:
         tree_seeds.append(int(rng.integers(2**32)))
         jobs.append(GrowJob(*_random_grow_input(rng, objective),
-                            rng=np.random.default_rng(tree_seeds[-1]), extra_trees=extra))
+                            rng=np.random.default_rng(tree_seeds[-1]),
+                            params=dataclasses.replace(params, extra_trees=extra)))
     got = grow_trees(jobs, params, gain_form=gain_form)
     assert len(got) == len(jobs)
     for job, tree, tree_seed in zip(jobs, got, tree_seeds):
         ref_rng = np.random.default_rng(tree_seed)
         want = reference_tree.grow_tree(job.bds, job.grads, job.row_set, job.feature_subset,
-                                        dataclasses.replace(params, extra_trees=job.extra_trees),
-                                        ref_rng, gain_form=gain_form)
+                                        job.params, ref_rng, gain_form=gain_form)
         assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
         assert job.rng.random() == ref_rng.random()
+
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # saturated sigmoids divide by ~0
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_batch_of_jobs_with_their_own_params_matches_frozen_reference(seed):
+    # jobs differing in every parameter the grower reads share every scan of
+    # one batch; each tree equals the reference grown alone under its own
+    # parameters, draws included; a job without params takes the batch's
+    rng = np.random.default_rng(seed)
+    batch_params = _random_params(rng, str(rng.choice(OBJECTIVES)))
+    gain_form = str(rng.choice(["hessian", "variance"]))
+    jobs, tree_seeds, own = [], [], []
+    for _ in range(int(rng.integers(2, 7))):
+        objective = str(rng.choice(OBJECTIVES))
+        params = None if rng.random() < 0.2 else _random_params(rng, objective)
+        own.append(batch_params if params is None else params)
+        tree_seeds.append(int(rng.integers(2**32)))
+        jobs.append(GrowJob(*_random_grow_input(rng, objective),
+                            rng=np.random.default_rng(tree_seeds[-1]), params=params))
+    got = grow_trees(jobs, batch_params, gain_form=gain_form)
+    assert len(got) == len(jobs)
+    for job, tree, tree_seed, params in zip(jobs, got, tree_seeds, own):
+        ref_rng = np.random.default_rng(tree_seed)
+        want = reference_tree.grow_tree(job.bds, job.grads, job.row_set, job.feature_subset,
+                                        params, ref_rng, gain_form=gain_form)
+        assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
+        assert job.rng.random() == ref_rng.random()
+
+
+def test_grow_job_without_params_needs_batch_params():
+    bds = _binned_from_bins([np.array([0, 1, 0, 1])], kinds=["numeric"], n_real=[2])
+    job = GrowJob(bds, _grads(np.array([1.0, -1.0, 1.0, -1.0]), np.ones(4)), _node(4), [0],
+                  np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="params"):
+        grow_trees([job])
+    assert grow_trees([job._replace(params=Params(min_data_in_leaf=1))])[0].num_leaves_used == 2
