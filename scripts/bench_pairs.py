@@ -9,7 +9,8 @@ For every seed, ``bench/run.py`` runs once in each checkout, in a fresh
 process, with its own ``--seconds`` and ``--trace``. Which side runs first
 alternates from seed to seed, so a drift in the host's speed does not favour
 one side. Every run must exit 0 and end its standard output with one JSON
-result line (no ``NaN`` or ``Infinity``) that reports ``"correct": true``.
+result line (no ``NaN``, ``Infinity`` or ``null`` value) that reports
+``"correct": true``.
 A run that does not is reported with its seed and side, its pair is left out
 of the comparison, and the script exits 1 after the last pair.
 
@@ -78,6 +79,17 @@ def _reject(constant: str):
     raise ValueError(f"non-finite number {constant} in the result line")
 
 
+def _nulls(value, path: str = "") -> list[str]:
+    """The paths of every ``null`` in a parsed result line."""
+    if value is None:
+        return [path or "the result"]
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _nulls(v, f"{path}.{k}" if path else k)]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _nulls(v, f"{path}[{i}]")]
+    return []
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
              trace: int) -> tuple[dict | None, str | None]:
     """One ``bench/run.py`` run: its parsed last stdout line, and what is wrong with the run.
@@ -94,6 +106,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
         return None, f"exit {proc.returncode}, {len(lines)} stdout lines: {stderr}"
     try:
         result = json.loads(lines[-1], parse_constant=_reject)
+        nulls = _nulls(result)
+        if nulls:
+            raise ValueError(f"null value at {', '.join(nulls[:5])}")
     except ValueError as exc:
         return None, f"last stdout line is not a result ({exc}): {lines[-1][:500]!r}"
     if not isinstance(result, dict) or result.get("correct") is not True:

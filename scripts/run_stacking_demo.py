@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end stacking demo on the synthetic market-indicator task.
 
-Fits the five-model zoo on disjoint shot partitions, blends with the MLP,
+Fits the five-model zoo on disjoint shot partitions, blends by NNLS,
 calibrates action thresholds, and reports per-model and blended MSE on a
 held-out slice plus the achieved action distribution.
 """

@@ -6,6 +6,7 @@ training sets. Ships a few-shot parameter preset, a k-shot benchmark
 harness, and a stacked-ensemble pipeline with disjoint few-shot partitions.
 """
 
+from .blend import LinearBlender, fit_blender, nnls
 from .booster import (GradientPairs, Model, compute_gradients, load_model,
                       predict, save_model, train, train_many)
 from .dataset import (BinnedDataset, Dataset, FeatureBins, bin_features,

@@ -251,6 +251,8 @@ def run_benchmark(ds: Dataset, shots: Sequence[int], seeds: Sequence[int],
     """
     if not shots:
         raise ValidationError("shots must be non-empty")
+    if not seeds:
+        raise ValidationError("seeds must be non-empty")
     named = _normalize_presets(presets)
     shots = [int(k) for k in shots]
     seeds = [int(s) for s in seeds]

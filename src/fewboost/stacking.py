@@ -6,9 +6,12 @@ target, so diversity comes from the sample space as much as from the model
 space. The zoo trains as one lockstep batch
 (:func:`~fewboost.booster.train_many`), whatever parameters its configs
 carry: each boosting round grows every model's tree together, with one split
-scan per growth step. Their predictions on the leftover (meta) rows feed a
-small MLP blender, and the blended score is discretized into sell/hold/buy
-actions by thresholds calibrated to a target action distribution.
+scan per growth step. Their predictions on the leftover (meta) rows are
+blended by non-negative least squares with a free intercept
+(:mod:`~fewboost.blend`), and the blended score is discretized into
+sell/hold/buy actions by thresholds calibrated to a target action
+distribution. Bundles written with the earlier MLP blender
+(:mod:`~fewboost.mlp`) still load and score.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .blend import LinearBlender, fit_blender
 from .booster import Model, check_trainable, predict, train_many
 from .dataset import CATEGORICAL, Dataset, bin_features
 from .errors import ValidationError
 from .fsl import fsl_preset
-from .mlp import MLP, train_mlp
+from .mlp import MLP
 from .params import Params
 
 ACTIONS = ("sell", "hold", "buy")
@@ -215,32 +219,39 @@ def calibrate_thresholds(scores, target_dist: Mapping[str, float]) -> ActionThre
     return ActionThresholds(t_low=float(t_low), t_high=float(t_high))
 
 
-def predict_actions(fits: Sequence[Level0Fit], mlp: MLP, thresholds: ActionThresholds,
-                    rows) -> np.ndarray:
-    """Level-0 predictions -> MLP blend -> thresholds -> {-1, 0, +1}."""
+def predict_actions(fits: Sequence[Level0Fit], blender: LinearBlender | MLP,
+                    thresholds: ActionThresholds, rows) -> np.ndarray:
+    """Level-0 predictions -> blend -> thresholds -> {-1, 0, +1}."""
     meta = level0_predictions(fits, rows)
-    return thresholds.apply(mlp.forward(meta))
+    return thresholds.apply(blender.forward(meta))
 
 
 @dataclass
 class StackingPipeline:
+    """Level-0 fits, their blender and the action thresholds.
+
+    ``blender`` is a :class:`~fewboost.blend.LinearBlender`, or an
+    :class:`~fewboost.mlp.MLP` in a pipeline loaded from a version-1 bundle.
+    """
+
     fits: list[Level0Fit]
-    mlp: MLP
+    blender: LinearBlender | MLP
     thresholds: ActionThresholds
 
     def predict_score(self, rows) -> np.ndarray:
-        return self.mlp.forward(level0_predictions(self.fits, rows))
+        return self.blender.forward(level0_predictions(self.fits, rows))
 
     def predict_actions(self, rows) -> np.ndarray:
-        return predict_actions(self.fits, self.mlp, self.thresholds, rows)
+        return predict_actions(self.fits, self.blender, self.thresholds, rows)
 
     def to_dict(self) -> dict:
         def enc(v: float) -> float | None:
             return None if np.isinf(v) else float(v)
 
+        mlp = isinstance(self.blender, MLP)
         return {
             "format": "fewboost-pipeline",
-            "version": 1,
+            "version": 1 if mlp else 2,
             "level0": [
                 {
                     "name": fit.config.name,
@@ -255,7 +266,7 @@ class StackingPipeline:
                 }
                 for fit in self.fits
             ],
-            "mlp": self.mlp.to_dict(),
+            "mlp" if mlp else "blender": self.blender.to_dict(),
             "thresholds": {
                 "t_low": enc(self.thresholds.t_low),
                 "t_high": enc(self.thresholds.t_high),
@@ -282,7 +293,8 @@ class StackingPipeline:
         th = d["thresholds"]
         return cls(
             fits=fits,
-            mlp=MLP.from_dict(d["mlp"]),
+            blender=(MLP.from_dict(d["mlp"]) if "mlp" in d
+                     else LinearBlender.from_dict(d["blender"])),
             thresholds=ActionThresholds(
                 t_low=-np.inf if th["t_low"] is None else float(th["t_low"]),
                 t_high=np.inf if th["t_high"] is None else float(th["t_high"]),
@@ -350,13 +362,14 @@ def make_default_zoo(ds: Dataset, k_per_model: int, seed: int = 0,
 
 
 def fit_stacking(ds: Dataset, configs: Sequence[Level0Config],
-                 target_dist: Mapping[str, float], seed: int = 0,
-                 val_fraction: float = 0.10, max_epochs: int = 64) -> StackingPipeline:
-    """Full pipeline: level-0 fits, MLP blend, threshold calibration."""
+                 target_dist: Mapping[str, float], seed: int = 0) -> StackingPipeline:
+    """Full pipeline: level-0 fits, non-negative linear blend, threshold calibration.
+
+    The blend is fitted on every meta row in closed form, so it draws
+    nothing: ``seed`` is accepted for callers of the earlier, seeded MLP
+    blender and changes nothing.
+    """
     result = train_level0(ds, configs)
-    meta_targets = ds.target[result.meta_indices]
-    mlp, _ = train_mlp(result.meta_features, meta_targets,
-                       val_fraction=val_fraction, max_epochs=max_epochs, seed=seed)
-    blended = mlp.forward(result.meta_features)
-    thresholds = calibrate_thresholds(blended, target_dist)
-    return StackingPipeline(fits=result.fits, mlp=mlp, thresholds=thresholds)
+    blender = fit_blender(result.meta_features, ds.target[result.meta_indices])
+    thresholds = calibrate_thresholds(blender.forward(result.meta_features), target_dist)
+    return StackingPipeline(fits=result.fits, blender=blender, thresholds=thresholds)

@@ -12,26 +12,29 @@ knobs are that tree's own, so trees of different presets share one batch and
 every scan of it. :func:`grow_tree` is a batch of one.
 
 Each scanned node builds its gradient, hessian and row-count histograms with
-one ``bincount`` each over feature-offset bin ids, laid out as a (features x
-bins) block. The scan stacks these blocks into one ragged block of (node,
-feature) rows, padded to the widest feature of the batch; column
-``missing_bin`` of a row holds its missing-value rows, and padded columns are
-never admissible. Numeric boundaries are scored by one ``cumsum`` along the
-rows, against each row's own leaf floor. Categorical features with at most
-their node's ``max_cat_to_onehot`` present categories score every
-one-vs-other split in the same vectorised pass. With more categories, the
-categories are ordered by their smoothed gradient/hessian ratio and each
-prefix of that order is a candidate left set. Selection is vectorised too,
-by a per-row mode: a greedy tree's rows take their first best boundary; an
-extra-trees tree's rows count their admissible boundaries, and all of that
-tree's rows of one step draw with a single ``rng.integers(0, sizes)``, which
-yields the same stream as one draw per row in node and feature order. Across
-a node's features the first strictly highest gain wins, among gains that are
-finite and positive. The public one-feature selectors
-(:func:`find_best_split`, :func:`extra_random_split`,
-:func:`categorical_split`) run the same scan on a one-row block. Every float
-sum is accumulated in the same order as a one-feature-at-a-time scan would
-(no histogram is derived by subtraction), so the trees do not depend on how
+one ``bincount`` each over feature-offset bin ids, laid out as a (3,
+features, bins) block. The scan stacks these blocks into one ragged (3,
+rows, width) block of (node, feature) rows, padded to the widest feature of
+the batch; column ``missing_bin`` of a row holds its missing-value rows, and
+padded columns are never admissible. One fused pass scores every numeric
+boundary (a ``cumsum`` along the row) and every one-vs-other categorical
+split (the bin itself, for categorical features with at most their node's
+``max_cat_to_onehot`` present categories) against each row's own leaf
+floor, in one buffer that holds every candidate with the missing rows sent
+right and, for the rows that hold missing rows, sent left as well. With
+more categories, the categories are ordered by their smoothed
+gradient/hessian ratio and each prefix of that order is a candidate left
+set. Selection is vectorised too, by a per-row mode: a greedy tree's rows
+take their first best candidate with one ``argmax``; an extra-trees tree's
+rows count their admissible boundaries, and all of that tree's rows of one
+step draw with a single ``rng.integers(0, sizes)``, which yields the same
+stream as one draw per row in node and feature order. Across a node's
+features the first strictly highest gain wins, among gains that are finite
+and positive. The public one-feature selectors (:func:`find_best_split`,
+:func:`extra_random_split`, :func:`categorical_split`) run the same scan on
+a one-row block, and so does the variance gain form. Every float sum is
+accumulated in the same order as a one-feature-at-a-time scan would (no
+histogram is derived by subtraction), so the trees do not depend on how
 many features or nodes share a scan.
 
 A boundary is admissible only when both children hold at least
@@ -49,7 +52,7 @@ both evaluators rank boundaries identically.
 
 Rows whose feature value is missing sit in a reserved trailing bin and are
 attached to whichever side of a split yields the higher gain
-(``default_left``).
+(``default_left``; the left side on a tie).
 """
 
 from __future__ import annotations
@@ -102,8 +105,7 @@ class NodeStats:
         )
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
+class SplitCandidate(NamedTuple):
     """A single admissible split: numeric boundary or category subset."""
 
     feature: int
@@ -162,52 +164,43 @@ def variance_gain(g_left, n_left, g_right, n_right, n_node) -> np.ndarray | floa
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _gain(gl, hl, nl, gr, hr, nr, parent, n_node, min_leaf, gain_form: str):
-    """Elementwise gain of sending (gl, hl, nl) left and (gr, hr, nr) right.
+def _missing_left(sides, miss, total, running, out=None):
+    """The children of every candidate with its missing rows sent left, written to ``out``.
 
-    Returns the gain, -inf where a side holds fewer than ``min_leaf`` rows or
-    the gain is NaN, and the row-count gate itself. ``parent`` is the parent
-    score of the hessian form, ``n_node`` the node's row count and
-    ``min_leaf`` the leaf floor; all three broadcast against the sides.
+    ``sides`` stacks the left and right child of each candidate with the
+    missing rows sent right, each as (sum_grad, sum_hess, rows) on the next
+    axis; ``miss`` and ``total`` are the missing rows' and the node's sums
+    and broadcast against one child. The right child becomes
+    ``(right - miss)`` in the ``running`` rows (numeric running sums) and
+    ``total - (left + miss)`` in the others: the two round differently, and
+    each kind of row keeps its own formula.
     """
-    ok = (nl >= min_leaf) & (nr >= min_leaf)
-    if gain_form == "hessian":
-        gain = _score(gl, hl) + _score(gr, hr) - parent
-    elif gain_form == "variance":
-        gain = variance_gain(gl, nl, gr, nr, n_node)
+    out = np.empty_like(sides) if out is None else out
+    np.add(sides[0], miss, out=out[0])
+    if running.all():
+        np.subtract(sides[1], miss, out=out[1])
     else:
-        raise ValidationError(f"unknown gain_form {gain_form!r}")
-    return np.where(ok, np.where(np.isnan(gain), -np.inf, gain), -np.inf), ok
+        np.subtract(total, out[0], out=out[1])
+        if running.any():
+            out[1][:, running] = sides[1][:, running] - miss[:, running]
+    return out
 
 
-def _both_directions(miss_left, miss_right, parent, n_node, min_leaf,
-                     gain_form: str = "hessian"):
-    """Score each candidate with its missing rows on either side.
+def _gains(sides, parent, min_leaf, n_node=None):
+    """Gain of every candidate from its children's sums, laid out as in :func:`_missing_left`.
 
-    ``miss_left`` and ``miss_right`` are the (gl, hl, nl, gr, hr, nr)
-    partitions with the missing rows sent left and right. Returns the better
-    direction's gain (ties go left), ``default_left``, the left row count and
-    whether either direction passes the row-count gate.
+    The gain is the children score minus ``parent``, or with ``n_node`` the
+    variance form. It is -inf where a child holds fewer than ``min_leaf``
+    rows or the gain is NaN. Call under ``np.errstate``.
     """
-    gain_l, ok_l = _gain(*miss_left, parent, n_node, min_leaf, gain_form)
-    gain_r, ok_r = _gain(*miss_right, parent, n_node, min_leaf, gain_form)
-    use_left = gain_l >= gain_r
-    n_left = np.where(use_left, miss_left[2], miss_right[2])
-    return np.where(use_left, gain_l, gain_r), use_left, n_left, ok_l | ok_r
-
-
-def _left_sets(gl, hl, nl, mg, mh, mc, tg, th, tn, min_leaf, l2: float, parent):
-    """Both missing directions for category sets whose sums exclude missing rows.
-
-    ``tg``, ``th`` and ``tn`` are the node's totals. ``l2`` is added to every
-    hessian, and ``parent`` must include it too.
-    """
-    gml, hml, nml = gl + mg, hl + mh, nl + mc
-    hr, hmr = th - hl, th - hml
-    if l2:
-        hl, hr, hml, hmr = hl + l2, hr + l2, hml + l2, hmr + l2
-    return _both_directions((gml, hml, nml, tg - gml, hmr, tn - nml),
-                            (gl, hl, nl, tg - gl, hr, tn - nl), parent, tn, min_leaf)
+    g, h, n = sides[:, 0], sides[:, 1], sides[:, 2]
+    if n_node is None:
+        score = _score(g, h)
+        gain = score[0] + score[1] - parent
+    else:
+        gain = variance_gain(g[0], n[0], g[1], n[1], n_node)
+    gain[(n[0] < min_leaf) | (n[1] < min_leaf) | np.isnan(gain)] = -np.inf
+    return gain
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +217,8 @@ def _histograms(offset_bins: np.ndarray, grad: np.ndarray, hess: np.ndarray, siz
     """
     flat = offset_bins.ravel()
     n_features = offset_bins.shape[1]
-    return (np.bincount(flat, weights=np.repeat(grad, n_features), minlength=size),
-            np.bincount(flat, weights=np.repeat(hess, n_features), minlength=size),
+    return (np.bincount(flat, weights=grad.repeat(n_features), minlength=size),
+            np.bincount(flat, weights=hess.repeat(n_features), minlength=size),
             np.bincount(flat, minlength=size))
 
 
@@ -246,19 +239,29 @@ def build_histogram(bds: BinnedDataset, feature: int, node: NodeStats, grads) ->
 # the split scan
 
 
-def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
-                 node_params: Sequence[Params], gain_form: str,
+def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params], gain_form: str,
                  draws) -> list[SplitCandidate | None]:
-    """Best split of every node in a ragged (node, feature) histogram block.
+    """Best split of every node in a ragged (node, feature) histogram block, in one pass.
 
     Node ``j`` owns rows ``starts[j]:starts[j + 1]``, one per sampled feature
-    in feature order, ``totals`` holds every node's (sum_grad, sum_hess, n)
-    and ``node_params[j]`` its tree's parameters: each row is gated by its
-    node's ``min_data_in_leaf`` and ``max_cat_to_onehot``, and its prefix
-    cuts use its node's categorical knobs. Row ``r`` of
-    ``grad``/``hess``/``count`` is the histogram of feature ``features[r]``:
-    real bins first, its missing-value rows in column ``missing[r]``, zero
-    padding after that. Numeric boundary ``d`` sends real bins ``0..d`` left.
+    in feature order, ``totals`` is the (3, nodes) array of every node's
+    (sum_grad, sum_hess, n) and ``node_params[j]`` its tree's parameters,
+    whose categorical knobs its prefix cuts use. ``meta`` holds the rows'
+    (feature, missing-value column, categorical flag, ``min_data_in_leaf``,
+    ``max_cat_to_onehot``), one row of ``meta`` per field; the last two are
+    the row's node's gates. ``hist`` is the (3, rows, width) block of
+    gradient, hessian and row-count histograms; row ``r`` is feature
+    ``features[r]``: real bins first, its missing-value rows in column
+    ``missing[r]``, zero padding after that. Numeric boundary ``d`` sends
+    real bins ``0..d`` left, and one-vs-other candidate ``d`` sends category
+    ``d`` alone left.
+
+    Numeric and one-vs-other rows share one pass. Their left sums (a running
+    sum, or the bin itself) and right sums, with the missing rows sent right,
+    fill one buffer; the rows that hold missing rows append a copy with them
+    sent left (elsewhere both directions give the same sums), and every gain
+    of the buffer is scored at once. Inadmissible columns are masked once and
+    greedy rows take one ``argmax``.
 
     ``draws`` lists ``(rng, lo, hi)`` for every extra-trees tree: the rows
     ``lo:hi`` belong to the tree drawing from ``rng``, and each of them with
@@ -266,139 +269,158 @@ def _best_splits(features, missing, is_cat, grad, hess, count, totals, starts,
     boundaries scored in hessian form. Every other row is greedy and keeps
     its first best candidate, numeric boundaries scored under ``gain_form``.
     One-vs-other categorical splits are greedy in every row. Across a node's
-    rows the first strictly highest gain wins, and a row's gain counts only
-    if it is finite and positive.
+    rows the first strictly highest gain wins (the missing rows go left on a
+    tie), and a row's gain counts only if it is finite and positive.
     """
-    n_nodes = len(starts) - 1
-    width = grad.shape[1]
-    if width < 2:  # no feature has a real bin
+    starts = np.asarray(starts)
+    n_nodes = starts.size - 1
+    width = hist.shape[2] - 1  # the last column is no row's left set
+    if width < 1:  # no feature has a real bin
         return [None] * n_nodes
-    n_rows = len(features)
-    rows = np.arange(n_rows)
-    node_size = np.diff(starts)
-    node_of = np.repeat(np.arange(n_nodes), node_size)
-    tg, th, tn = (np.asarray(t)[node_of][:, None] for t in totals)
-    # each row's leaf floor and one-vs-other limit, from its node's parameters
-    min_leaf, max_onehot = np.array([(p.min_data_in_leaf, p.max_cat_to_onehot)
-                                     for p in node_params])[node_of].T
+    features, missing, is_cat, min_leaf, max_onehot = meta
+    is_cat = is_cat.astype(bool)
     min_leaf = min_leaf[:, None]
-    mg, mh, mc = (a[rows, missing][:, None] for a in (grad, hess, count))
+    n_rows = features.size
+    rows = np.arange(n_rows)
+    node_size = starts[1:] - starts[:-1]
+    node_of = np.repeat(np.arange(n_nodes), node_size)
+    total = totals[:, node_of, None]
+    miss = hist[:, rows, missing][:, :, None]
     numeric = ~is_cat
     extra = np.zeros(n_rows, dtype=bool)  # rows of extra-trees trees
     for _, lo, hi in draws:
         extra[lo:hi] = True
-    greedy = ~extra
-    # each row's chosen boundary, category or prefix: column, gain, side, rows left
-    pick = np.zeros(n_rows, dtype=np.intp)
-    gain = np.full(n_rows, -np.inf)
-    left = np.zeros(n_rows, dtype=bool)
-    n_left = np.zeros(n_rows, dtype=np.int64)
-    sizes = np.zeros(n_rows, dtype=np.int64)  # admissible draws per row
-
-    def choose(mask, row_gain, row_left, row_n, col):
-        idx = np.flatnonzero(mask)
-        col = col[idx]
-        pick[idx], gain[idx] = col, row_gain[idx, col]
-        left[idx], n_left[idx] = row_left[idx, col], row_n[idx, col]
+    drawing = numeric & extra
+    if gain_form == "variance":
+        variance = numeric & ~extra  # greedy numeric rows take the count-normalized form
+    elif gain_form == "hessian":
+        variance = None
+    else:
+        raise ValidationError(f"unknown gain_form {gain_form!r}")
+    one_hot = is_cat.copy()
+    if is_cat.any():
+        present = (hist[2, :, :-1] > 0) & (np.arange(width) < missing[:, None])
+        one_hot &= present.sum(axis=1) <= max_onehot
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        parent = _score(tg, th)
-        if numeric.any():
-            cg, ch, cc = (np.cumsum(a[:, :-1], axis=1) for a in (grad, hess, count))
+        parent = _score(total[0], total[1])
 
-            def numeric_gains(form):
-                return _both_directions(
-                    (cg + mg, ch + mh, cc + mc, tg - cg - mg, th - ch - mh, tn - cc - mc),
-                    (cg, ch, cc, tg - cg, th - ch, tn - cc), parent, tn, min_leaf, form)[:3]
+        def row_gains(sides, sel):
+            gains = _gains(sides, parent[sel], min_leaf[sel])
+            if variance is not None and variance[sel].any():
+                v = variance[sel]
+                gains[v] = _gains(sides[:, :, v], None, min_leaf[sel][v], total[2][sel][v])
+            return gains
 
-            num_gain, num_left, num_n = numeric_gains("hessian" if draws else gain_form)
-            if draws and gain_form != "hessian" and greedy.any():
-                # the greedy rows of a mixed batch keep their own gain form
-                num_gain, num_left, num_n = (
-                    np.where(extra[:, None], a, b)
-                    for a, b in zip((num_gain, num_left, num_n), numeric_gains(gain_form)))
-            # from the last real bin on, no real bin is left on the right
-            num_gain[np.arange(width - 1) >= missing[:, None] - 1] = -np.inf
-            if draws:
-                admissible = num_gain > -np.inf
-                drawing = numeric & extra
-                sizes[drawing] = admissible.sum(axis=1)[drawing]
-        # categorical features with more present categories take prefix cuts
-        one_hot = is_cat.copy()
-        if is_cat.any():
-            present = (count > 0) & (np.arange(width) < missing[:, None])
-            one_hot &= present.sum(axis=1) <= max_onehot
+        # the children of every candidate with the missing rows sent right,
+        # then with them sent left in the rows that hold missing rows
+        held = np.flatnonzero(miss[2, :, 0] > 0)
+        scored = np.concatenate([rows, held]) if held.size else slice(None)
+        sides = np.empty((2, 3, n_rows + held.size, width))
+        right = sides[:, :, :n_rows]
+        np.cumsum(hist[:, :, :-1], axis=2, out=right[0])
         if one_hot.any():
-            one_gain, one_left, one_n, _ = _left_sets(grad, hess, count, mg, mh, mc,
-                                                      tg, th, tn, min_leaf, 0.0, parent)
-            one_gain[~present] = -np.inf
-            choose(one_hot, one_gain, one_left, one_n, np.argmax(one_gain, axis=1))
+            right[0][:, one_hot] = hist[:, one_hot, :-1]
+        np.subtract(total, right[0], out=right[1])
+        if held.size:
+            _missing_left(right[:, :, held], miss[:, held], total[:, held], ~one_hot[held],
+                          out=sides[:, :, n_rows:])
+        gains = row_gains(sides, scored)
+        best = gains[:n_rows]
+        if held.size:
+            use_left = gains[n_rows:] >= best[held]
+            best[held] = np.where(use_left, gains[n_rows:], best[held])
+        # a numeric boundary needs a real bin on its right, and a one-vs-other
+        # column must be a category present at the node
+        inadmissible = np.arange(width) >= (missing - numeric)[:, None]
+        if one_hot.any():
+            inadmissible[one_hot] |= ~present[one_hot]
+        best[inadmissible] = -np.inf
+
+        sizes = np.zeros(n_rows, dtype=np.int64)  # admissible draws per row
+        if draws:
+            admissible = best > -np.inf
+            sizes[drawing] = admissible[drawing].sum(axis=1)
         prefix_rows = np.flatnonzero(is_cat & ~one_hot).tolist()
         cuts = {}
         for r in prefix_rows:
             j = node_of[r]
-            cuts[r] = _prefix_cuts(grad[r], hess[r], count[r], int(missing[r]),
-                                   totals[0][j], totals[1][j], totals[2][j], node_params[j])
+            cuts[r] = _prefix_cuts(hist[:, r], int(missing[r]), totals[:, j], node_params[j])
             if extra[r] and cuts[r] is not None:
                 sizes[r] = cuts[r][4].size
 
-        drawn = np.zeros(n_rows, dtype=np.int64)
-        for rng, lo, hi in draws:
-            idx = lo + np.flatnonzero(sizes[lo:hi])
-            if idx.size:
+    drawn = np.zeros(n_rows, dtype=np.int64)
+    if draws:
+        # one draw per tree over its rows with an admissible candidate
+        nonzero = np.flatnonzero(sizes)
+        bounds = np.searchsorted(nonzero, [d[1:] for d in draws]).tolist()
+        for (rng, _, _), (a, b) in zip(draws, bounds):
+            if b > a:
+                idx = nonzero[a:b]
                 drawn[idx] = rng.integers(0, sizes[idx])
-        if numeric.any():
-            choose(numeric & greedy, num_gain, num_left, num_n, np.argmax(num_gain, axis=1))
-            if draws:
-                # the drawn-th admissible boundary of each row
-                col = np.argmax(np.cumsum(admissible, axis=1) > drawn[:, None], axis=1)
-                choose(drawing & (sizes > 0), num_gain, num_left, num_n, col)
-        for r in prefix_rows:
-            if cuts[r] is None:
-                continue
-            cut_gain, cut_left, cut_n, _, admissible_cuts = cuts[r]
-            if not extra[r]:
-                p = int(np.argmax(cut_gain))
-            elif admissible_cuts.size:
-                p = int(admissible_cuts[drawn[r]])
-            else:
-                continue
-            pick[r], gain[r], left[r], n_left[r] = p, cut_gain[p], cut_left[p], cut_n[p]
+    # each row's column: greedy rows their first best, drawing rows their drawn-th admissible
+    pick = np.argmax(best, axis=1)
+    if drawing.any():
+        pick[drawing] = np.argmax(np.cumsum(admissible[drawing], axis=1)
+                                  > drawn[drawing, None], axis=1)
+    gain = best[rows, pick]
+    n_left = sides[0, 2, rows, pick]
+    default_left = np.ones(n_rows, dtype=bool)
+    if held.size:
+        default_left[held] = use_left[np.arange(held.size), pick[held]]
+        n_left[held] += np.where(default_left[held], miss[2, held, 0], 0.0)
+    for r in prefix_rows:
+        gain[r] = -np.inf
+        if cuts[r] is None:
+            continue
+        cut_gain, cut_left, cut_n, _, admissible_cuts = cuts[r]
+        if not extra[r]:
+            p = int(np.argmax(cut_gain))
+        elif admissible_cuts.size:
+            p = int(admissible_cuts[drawn[r]])
+        else:
+            continue
+        pick[r], gain[r], default_left[r], n_left[r] = p, cut_gain[p], cut_left[p], cut_n[p]
 
     # first strictly highest finite positive gain per node: a padded argmax
     valid = np.where((gain > 0) & (gain < np.inf), gain, -np.inf)
     table = np.full((n_nodes, int(node_size.max())), -np.inf)
-    table[node_of, rows - np.asarray(starts)[node_of]] = valid
-    best = np.argmax(table, axis=1)
+    table[node_of, rows - starts[node_of]] = valid
+    best_row = np.argmax(table, axis=1)
+    split = np.flatnonzero(table[np.arange(n_nodes), best_row] > -np.inf)
+    chosen = starts[split] + best_row[split]
     out: list[SplitCandidate | None] = [None] * n_nodes
-    for j in np.flatnonzero(table[np.arange(n_nodes), best] > -np.inf).tolist():
-        r = int(starts[j] + best[j])
-        nl, d = int(n_left[r]), int(pick[r])
-        if not is_cat[r]:
+    for j, r, f, g, nl, n, d, left, cat in zip(
+            split.tolist(), chosen.tolist(), features[chosen].tolist(), gain[chosen].tolist(),
+            n_left[chosen].astype(np.int64).tolist(), totals[2, split].astype(np.int64).tolist(),
+            pick[chosen].tolist(), default_left[chosen].tolist(), is_cat[chosen].tolist()):
+        if not cat:
             cats = None
         elif r in cuts:
-            cats = tuple(int(c) for c in np.sort(cuts[r][3][: d + 1]))
+            cats = tuple(sorted(cuts[r][3][: d + 1].tolist()))
         else:
             cats = (d,)
-        out[j] = SplitCandidate(feature=int(features[r]), gain=float(gain[r]), n_left=nl,
-                                n_right=int(totals[2][j]) - nl, default_left=bool(left[r]),
-                                threshold_bin=None if is_cat[r] else d, left_cats=cats)
+        out[j] = SplitCandidate(f, g, nl, n - nl, left, None if cat else d, cats)
     return out
 
 
-def _prefix_cuts(grad, hess, count, k: int, tg, th, tn, params: Params):
+def _prefix_cuts(hist, k: int, total, params: Params):
     """Every prefix cut of one categorical histogram row, or None if none exists.
 
-    Categories holding at least ``min_data_per_group`` rows are ordered by
-    the smoothed score ``sum_grad / (sum_hess + cat_smooth)`` (ties by
-    category); the rest always route right. Prefix ``p`` of the order (the
-    first ``p + 1`` categories) is a left set, scored with ``cat_l2`` added to
-    every hessian. Each prefix is summed on its own: a running sum rounds
-    differently once a prefix holds 8 or more categories. Returns each cut's
-    gain, ``default_left`` and left row count, the category order, and the
-    cuts admissible for a random draw (either missing direction passes the
+    ``hist`` is the row's (3, width) gradient, hessian and row-count
+    histogram, with its missing-value rows in column ``k``, and ``total`` the
+    node's (sum_grad, sum_hess, n). Categories holding at least
+    ``min_data_per_group`` rows are ordered by the smoothed score
+    ``sum_grad / (sum_hess + cat_smooth)`` (ties by category); the rest
+    always route right. Prefix ``p`` of the order (the first ``p + 1``
+    categories) is a left set, scored with ``cat_l2`` added to every hessian.
+    Each prefix is summed on its own: a running sum rounds differently once a
+    prefix holds 8 or more categories. Returns each cut's gain,
+    ``default_left`` and left row count, the category order, and the cuts
+    admissible for a random draw (either missing direction passes the
     row-count gate).
     """
+    grad, hess, count = hist
     eligible = np.flatnonzero((count[:k] > 0) & (count[:k] >= params.min_data_per_group))
     if eligible.size == 0:
         return None
@@ -407,22 +429,33 @@ def _prefix_cuts(grad, hess, count, k: int, tg, th, tn, params: Params):
     ratio = np.where(denom > 0, g / denom, signed_inf)
     order = eligible[np.argsort(ratio, kind="stable")]
     prefixes = [order[:p] for p in range(1, order.size + 1)]
+    left = np.array([[grad[s].sum() for s in prefixes], [hess[s].sum() for s in prefixes],
+                     np.cumsum(count[order])])
+    total = total[:, None]
+    right_missing = np.array([left, total - left])
+    left_missing = _missing_left(right_missing, hist[:, k, None], total, np.zeros(1, dtype=bool))
     l2 = params.cat_l2
-    gain, use_left, n_left, admissible = _left_sets(
-        np.array([grad[s].sum() for s in prefixes]), np.array([hess[s].sum() for s in prefixes]),
-        np.cumsum(count[order]), grad[k], hess[k], count[k], tg, th, tn,
-        params.min_data_in_leaf, l2, _score(np.float64(tg), np.float64(th + l2)))
-    return gain, use_left, n_left, order, np.flatnonzero(admissible)
+    parent = _score(total[0], total[1] + l2)
+    m = params.min_data_in_leaf
+    gains, admissible = [], np.zeros(order.size, dtype=bool)
+    for sides in (left_missing, right_missing):
+        sides[:, 1] += l2
+        gains.append(_gains(sides, parent, m))
+        admissible |= (sides[0, 2] >= m) & (sides[1, 2] >= m)
+    use_left = gains[0] >= gains[1]
+    n_left = np.where(use_left, left_missing[0, 2], right_missing[0, 2])
+    return (np.where(use_left, gains[0], gains[1]), use_left, n_left, order,
+            np.flatnonzero(admissible))
 
 
 def _one_feature(hist: FeatureHistogram, node: NodeStats, params: Params, gain_form: str,
                  rng: np.random.Generator | None) -> SplitCandidate | None:
     """The node scan over a single feature's histogram."""
-    return _best_splits(np.array([hist.feature]), np.array([hist.missing_bin]),
-                        np.array([hist.is_categorical]), hist.sum_grad[None, :],
-                        hist.sum_hess[None, :], hist.count[None, :],
-                        ([node.sum_grad], [node.sum_hess], [node.n]), [0, 1], [params],
-                        gain_form, [] if rng is None else [(rng, 0, 1)])[0]
+    meta = np.array([[hist.feature], [hist.missing_bin], [hist.is_categorical],
+                     [params.min_data_in_leaf], [params.max_cat_to_onehot]], dtype=np.intp)
+    block = np.array([hist.sum_grad, hist.sum_hess, hist.count], dtype=np.float64)[:, None]
+    return _best_splits(meta, block, np.array([[node.sum_grad], [node.sum_hess], [node.n]]),
+                        [0, 1], [params], gain_form, [] if rng is None else [(rng, 0, 1)])[0]
 
 
 def find_best_split(hist: FeatureHistogram, node: NodeStats, params: Params,
@@ -624,25 +657,29 @@ class _Grower:
         self.bds, self.grads, self.rng = job.bds, job.grads, job.rng
         features = sorted(int(f) for f in job.feature_subset)
         fbs = [self.bds.mapper[f] for f in features]
-        self.features = np.array(features, dtype=np.intp)
-        self.missing = np.array([fb.missing_bin for fb in fbs], dtype=np.intp)
-        self.is_cat = np.array([fb.kind == CATEGORICAL for fb in fbs], dtype=bool)
-        self.width = int(self.missing.max()) + 1 if features else 0
+        p = self.params
+        # the scan's per-feature row fields, as _best_splits reads them
+        self.meta = np.array([features, [fb.missing_bin for fb in fbs],
+                              [fb.kind == CATEGORICAL for fb in fbs],
+                              [p.min_data_in_leaf] * len(fbs), [p.max_cat_to_onehot] * len(fbs)],
+                             dtype=np.intp).reshape(5, len(fbs))
+        self.features = self.meta[0]
+        self.width = int(self.meta[1].max()) + 1 if features else 0
         self.offset_bins: np.ndarray | None = None  # built at the first scanned node
         self.root = NodeStats.from_rows(row_set, self.grads)
         self.tree = Tree(nodes=[TreeNode(value=_leaf_value(self.root), count=self.root.n)],
                          num_leaves_used=1)
         self.frontier: list[tuple[float, int, SplitCandidate, NodeStats]] = []
 
-    def histograms(self, stats: NodeStats, width: int):
-        """The node's (features x width) gradient, hessian and count histograms."""
+    def histograms(self, stats: NodeStats, width: int) -> np.ndarray:
+        """The node's (3, features, width) gradient, hessian and row-count histograms."""
         n_features = self.features.size
         if self.offset_bins is None:
             self.offset_bins = self.bds.bins[:, self.features] + np.arange(n_features) * width
         rows = stats.row_set
         block = _histograms(self.offset_bins[rows], self.grads.grad[rows],
                             self.grads.hess[rows], n_features * width)
-        return [a.reshape(n_features, width) for a in block]
+        return np.array(block, dtype=np.float64).reshape(3, n_features, width)
 
     def split(self) -> list[tuple["_Grower", int, NodeStats]]:
         """Split the best frontier leaf; return both children, left first."""
@@ -678,7 +715,7 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int,
           gain_form: str) -> list[SplitCandidate | None]:
     """One split scan over every pending node; each tree's nodes are adjacent."""
     out: list[SplitCandidate | None] = [None] * len(pending)
-    scanned, growers, hists, totals, starts, draws = [], [], [], ([], [], []), [0], []
+    scanned, growers, hists, totals, starts, draws = [], [], [], [], [0], []
     for i, (grower, _, stats) in enumerate(pending):
         # no boundary can leave min_data_in_leaf rows on both sides
         if stats.n < 2 * grower.params.min_data_in_leaf or grower.features.size == 0:
@@ -686,8 +723,7 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int,
         scanned.append(i)
         growers.append(grower)
         hists.append(grower.histograms(stats, width))
-        for t, v in zip(totals, (stats.sum_grad, stats.sum_hess, stats.n)):
-            t.append(v)
+        totals.append((stats.sum_grad, stats.sum_hess, stats.n))
         lo, hi = starts[-1], starts[-1] + grower.features.size
         starts.append(hi)
         if grower.params.extra_trees:
@@ -697,12 +733,9 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int,
                 draws.append((grower.rng, lo, hi))
     if not scanned:
         return out
-    grad, hess, count = (np.concatenate([h[s] for h in hists]) for s in range(3))
-    cands = _best_splits(np.concatenate([g.features for g in growers]),
-                         np.concatenate([g.missing for g in growers]),
-                         np.concatenate([g.is_cat for g in growers]),
-                         grad, hess, count, totals, starts, [g.params for g in growers],
-                         gain_form, draws)
+    cands = _best_splits(np.concatenate([g.meta for g in growers], axis=1),
+                         np.concatenate(hists, axis=1), np.array(totals).T, starts,
+                         [g.params for g in growers], gain_form, draws)
     for i, cand in zip(scanned, cands):
         out[i] = cand
     return out

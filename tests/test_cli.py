@@ -53,6 +53,17 @@ def test_bench_missing_schema_fails_without_output(tmp_path, binary_csv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_bench_without_seeds_fails_without_output(tmp_path, binary_csv, capsys, seeds):
+    data, schema = binary_csv
+    out = tmp_path / "report.json"
+    code = main(["bench", "--data", str(data), "--schema", str(schema),
+                 "--shots", "8", "--seeds", seeds, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: seeds must be non-empty")
+    assert not out.exists() and not (tmp_path / "report.txt").exists()
+
+
 def test_bench_partial_failure_exit_code(tmp_path, binary_csv):
     data, schema = binary_csv
     out = tmp_path / "report.json"

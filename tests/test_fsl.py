@@ -171,6 +171,12 @@ def test_benchmark_empty_shots_rejected():
         run_benchmark(ds, shots=[], seeds=[0], presets={"fsl": fsl_preset()})
 
 
+def test_benchmark_empty_seeds_rejected():
+    ds = make_synthetic_binary(n_rows=50, seed=5)
+    with pytest.raises(ValidationError, match="seeds"):
+        run_benchmark(ds, shots=[8], seeds=[], presets={"fsl": fsl_preset()})
+
+
 def test_benchmark_report_serialization_and_text():
     ds = make_synthetic_binary(n_rows=100, seed=6)
     report = run_benchmark(ds, shots=[8, 16], seeds=[0, 1],

@@ -344,16 +344,16 @@ def test_pipeline_fit_predict_and_round_trip(tmp_path):
 
 def test_pipeline_writes_nothing_to_stdout_and_scores_are_finite(capsys, monkeypatch):
     # a benchmark run's last stdout line is its JSON result: the stacked
-    # pipeline must print nothing and give finite scores and R2 history
-    histories = []
-    real = stacking.train_mlp
+    # pipeline must print nothing and give finite scores and blend weights
+    blenders = []
+    real = stacking.fit_blender
 
     def recorded(*args, **kwargs):
-        mlp, history = real(*args, **kwargs)
-        histories.append(history)
-        return mlp, history
+        blender = real(*args, **kwargs)
+        blenders.append(blender)
+        return blender
 
-    monkeypatch.setattr(stacking, "train_mlp", recorded)
+    monkeypatch.setattr(stacking, "fit_blender", recorded)
     full = make_synthetic_stock(n_rows=1200, seed=6)
     train_ds, held = full.take(np.arange(900)), full.take(np.arange(900, 1200))
     configs = make_default_zoo(train_ds, k_per_model=100, seed=7)
@@ -362,8 +362,8 @@ def test_pipeline_writes_nothing_to_stdout_and_scores_are_finite(capsys, monkeyp
     scores = pipeline.predict_score(held.values)
     assert capsys.readouterr().out == ""
     assert scores.shape == (300,) and np.isfinite(scores).all()
-    assert len(histories) == 1 and len(histories[0]) > 0
-    assert np.isfinite(histories[0]).all()
+    assert len(blenders) == 1 and blenders[0].weights.size == len(configs)
+    assert np.isfinite(blenders[0].weights).all() and np.isfinite(blenders[0].intercept)
 
 
 def test_pipeline_actions_beat_always_hold_on_held_out():
@@ -391,7 +391,7 @@ def test_predict_actions_function_matches_pipeline():
     ds = make_synthetic_stock(n_rows=400, seed=8)
     pipeline = fit_stacking(ds, _zoo(ds, k=60, seed=5),
                             {"sell": 0.3, "hold": 0.4, "buy": 0.3}, seed=1)
-    via_fn = predict_actions(pipeline.fits, pipeline.mlp, pipeline.thresholds,
+    via_fn = predict_actions(pipeline.fits, pipeline.blender, pipeline.thresholds,
                              ds.values[:50])
     assert np.array_equal(via_fn, pipeline.predict_actions(ds.values[:50]))
 
