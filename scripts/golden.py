@@ -17,7 +17,11 @@ digest with ``tests/golden.json``. The set is:
 - ``level0``: the model JSON of the default zoo's five level-0 models on the
   1,600-row ``make_synthetic_stock`` at 200 shots per model;
 - ``pipeline``, ``pipeline_scores`` and ``pipeline_actions``: the stacked
-  pipeline fitted on that zoo, its JSON bundle, blended scores and actions.
+  pipeline fitted on that zoo, its JSON bundle, blended scores and actions;
+- ``predict_model`` and ``predict_pipeline``: the CSV that ``fewboost
+  predict`` writes for the ``bundle`` model and for that pipeline, each
+  scoring its own table in reversed row order, so a scoring file that lists
+  categories in another order than the training data.
 
 A change that alters a digest on purpose regenerates the file and says which
 digests changed and why.
@@ -26,11 +30,14 @@ digests changed and why.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
 import sys
+import tempfile
 
 import numpy as np
 
@@ -58,6 +65,23 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def _predict_digest(save, bundle, ds) -> str:
+    """Digest of ``fewboost predict`` output for ``ds`` in reversed row order."""
+    from fewboost.cli import main
+    from fewboost.dataset import write_csv
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path, data, out = (os.path.join(tmp, f) for f in ("bundle.json", "rows.csv", "out.csv"))
+        save(bundle, path)
+        write_csv(ds.take(range(ds.n_rows - 1, -1, -1)), data)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["predict", "--model", path, "--data", data, "--out", out])
+        if code != 0:
+            raise RuntimeError(f"fewboost predict exited {code}")
+        with open(out, "rb") as fh:
+            return _sha(fh.read())
+
+
 def build_digests() -> dict[str, str]:
     """Rebuild every golden output and return its digest, by name."""
     if os.path.join(ROOT, "src") not in sys.path:
@@ -66,7 +90,7 @@ def build_digests() -> dict[str, str]:
 
     from fewboost import (bin_features, default_preset, fit_stacking, fsl_preset,
                           make_default_zoo, make_synthetic_binary, make_synthetic_stock,
-                          predict, run_benchmark, train)
+                          predict, run_benchmark, save_model, save_pipeline, train)
 
     out = {}
     report = run_benchmark(make_synthetic_binary(n_rows=400, seed=1), [4, 16, 64], [0, 1, 2],
@@ -81,6 +105,7 @@ def build_digests() -> dict[str, str]:
     model = train(bin_features(ds, params.max_bin, params.min_data_in_bin), params)
     out["bundle"] = _sha(_json(model.to_dict()))
     out["bundle_scores"] = _sha(predict(model, ds.values))
+    out["predict_model"] = _predict_digest(save_model, model, ds)
 
     stock = make_synthetic_stock(n_rows=1600, seed=0)
     configs = make_default_zoo(stock, k_per_model=200, seed=0)
@@ -90,6 +115,7 @@ def build_digests() -> dict[str, str]:
     out["pipeline"] = _sha(_json(pipeline.to_dict()))
     out["pipeline_scores"] = _sha(scores)
     out["pipeline_actions"] = _sha(pipeline.thresholds.apply(scores))
+    out["predict_pipeline"] = _predict_digest(save_pipeline, pipeline, stock)
     return out
 
 

@@ -10,7 +10,7 @@ from .blend import LinearBlender, fit_blender, nnls
 from .booster import (GradientPairs, Model, compute_gradients, load_model,
                       predict, save_model, train, train_many)
 from .dataset import (BinnedDataset, Dataset, FeatureBins, bin_features,
-                      load_csv, load_schema, schema_for, write_csv)
+                      encode_csv, load_csv, load_schema, schema_for, write_csv)
 from .errors import (FewboostError, ParseError, SchemaError,
                      UndefinedMetricError, ValidationError)
 from .fsl import (BenchmarkCell, BenchmarkReport, ShotSample, default_preset,

@@ -257,6 +257,9 @@ def save_model(model: Model, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Model.from_dict(json.load(fh))
+def load_model(path, doc: dict | None = None) -> Model:
+    """Decode the model bundle at ``path``; ``doc`` is its already-parsed JSON, if at hand."""
+    if doc is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    return Model.from_dict(doc)

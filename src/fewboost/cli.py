@@ -5,6 +5,11 @@ pipeline bundles), ``stack`` (partition -> level-0 -> blender -> thresholds)
 and ``calibrate`` (recompute thresholds for a scores file). Exit codes:
 0 success, 1 usage/validation/I-O error, 2 partial benchmark failure.
 
+``predict`` reads the scoring CSV's columns by name and codes its categories
+against the bundle's training vocabulary (``dataset.encode_csv``), so the
+scores do not depend on the file's row or column order. It needs no
+``--schema``; the flag is still accepted.
+
 Identical inputs and ``--seed`` produce byte-identical output files.
 """
 
@@ -19,13 +24,13 @@ import sys
 
 import numpy as np
 
-from .booster import Model, predict, save_model, train
-from .dataset import bin_features, load_csv, load_schema
+from .booster import Model, load_model, predict, save_model, train
+from .dataset import bin_features, encode_csv, load_csv, load_schema
 from .errors import FewboostError, ValidationError
 from .fsl import default_preset, fsl_preset, run_benchmark
 from .params import Params
-from .stacking import (StackingPipeline, calibrate_thresholds, fit_stacking,
-                       make_default_zoo, save_pipeline)
+from .stacking import (calibrate_thresholds, fit_stacking, load_pipeline, make_default_zoo,
+                       save_pipeline)
 
 
 def _resolve_params(args) -> Params:
@@ -102,78 +107,33 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _encode_rows_for_model(model, path) -> np.ndarray:
-    """Read a CSV and encode the model's feature columns in training order."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty, header row required") from None
-        positions = []
-        for fb in model.mapper:
-            if fb.name not in header:
-                raise ValidationError(f"{path}: missing feature column {fb.name!r}")
-            positions.append(header.index(fb.name))
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {row_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            out = []
-            for fb, pos in zip(model.mapper, positions):
-                tok = row[pos]
-                if tok == "":
-                    out.append(math.nan)
-                elif fb.kind == "numeric":
-                    try:
-                        out.append(float(tok))
-                    except ValueError:
-                        raise ValidationError(
-                            f"{path}: non-numeric token {tok!r} in column {fb.name!r}"
-                        ) from None
-                else:
-                    cats = fb.categories or ()
-                    out.append(float(cats.index(tok)) if tok in cats else math.nan)
-            rows.append(out)
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(model.mapper))
-
-
-def _decode_bundle(path: str, doc):
-    """The model or pipeline in an already-parsed bundle document."""
+def _load_bundle(path: str):
+    """The model or pipeline in a bundle file, which is parsed once."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    decode = {"fewboost-model": Model.from_dict,
-              "fewboost-pipeline": StackingPipeline.from_dict}.get(fmt)
-    if decode is None:
+    load = {"fewboost-model": load_model, "fewboost-pipeline": load_pipeline}.get(fmt)
+    if load is None:
         raise ValidationError(f"{path}: unknown bundle format {fmt!r}")
     try:
-        return decode(doc)
+        return load(path, doc)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(
             f"{path}: malformed {fmt} bundle ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_predict(args) -> int:
-    with open(args.model, "r", encoding="utf-8") as fh:
-        bundle = _decode_bundle(args.model, json.load(fh))
+    bundle = _load_bundle(args.model)
     if isinstance(bundle, Model):
-        scores = predict(bundle, _encode_rows_for_model(bundle, args.data))
+        scores = predict(bundle, encode_csv(args.data, bundle.mapper))
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row_id", "score"])
             for i, s in enumerate(scores):
                 writer.writerow([i, repr(float(s))])
     else:
-        # encode against the widest level-0 model's columns: pipelines store
-        # per-config feature subsets over the original dataset arity
-        if not args.schema:
-            raise ValidationError("pipeline prediction requires --schema for column typing")
-        schema = load_schema(args.schema)
-        ds = load_csv(args.data, schema, require_target=False)
-        scores = bundle.predict_score(ds.values)
+        # columns by name against the level-0 vocabularies; --schema is not needed
+        scores = bundle.predict_score(encode_csv(args.data, bundle.feature_columns()))
         actions = bundle.thresholds.apply(scores)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -274,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="score rows with a model or pipeline bundle")
     p.add_argument("--model", required=True, help="model or pipeline bundle")
     p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--schema", default=None, help="schema (pipeline bundles only)")
+    p.add_argument("--schema", default=None,
+                   help="accepted and not needed: the bundle types its columns")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_predict)
 

@@ -5,6 +5,15 @@ categorical cells hold dense non-negative category codes, and NaN marks a
 missing entry in either kind of column. :func:`bin_features` turns a dataset
 into the small-integer bin representation the trainer consumes.
 
+CSV parsing: one decoder reads both training files (:func:`load_csv`, which
+codes categories by first appearance) and scoring files (:func:`encode_csv`,
+which codes them against a trained model's category lists). It reads a
+block of a few hundred records at a time with :mod:`csv`, transposes the
+block, and converts it column by column: numeric columns through ``float``
+(an empty cell is NaN), categorical ones through one dict lookup per cell.
+Only a block that holds a bad row is re-read row by row, to name the first
+bad row's error.
+
 Binning contract for numeric features: greedy equal-frequency partition over
 the sorted distinct values, targeting ``n // min_data_in_bin`` bins (capped at
 ``max_bin``). Every produced bin holds at least ``min_data_in_bin`` rows except
@@ -17,6 +26,7 @@ categories are never merged at binning time.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -107,7 +117,9 @@ def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_tar
     shape). Empty cells are missing values; categorical strings are encoded
     as dense codes in order of first appearance. A target cell must hold a
     finite number: an empty, non-numeric, ``nan`` or infinite one raises
-    :class:`ParseError` naming its row and column.
+    :class:`ParseError` naming its row and column. A malformed file raises
+    the error of its first bad row: the field count, then the features in
+    column order, then the target.
     """
     if not isinstance(schema, Mapping):
         schema = load_schema(schema)
@@ -124,10 +136,7 @@ def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_tar
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty, header row required") from None
+        header = _read_header(path, reader)
 
         unknown = [c for c in header if c not in schema]
         if unknown:
@@ -139,71 +148,151 @@ def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_tar
             raise SchemaError(f"schema column(s) absent from CSV: {missing_cols}")
 
         feat_pos = [i for i, c in enumerate(header) if schema[c] in (NUMERIC, CATEGORICAL)]
-        feature_names = [header[i] for i in feat_pos]
         kinds = [schema[header[i]] for i in feat_pos]
         target_pos = header.index(target_col) if (target_col is not None and target_col in header) else None
+        vocabs = [{} if k == CATEGORICAL else None for k in kinds]
+        values, target = _decode(path, reader, header, list(zip(feat_pos, vocabs)), target_pos,
+                                 grow=True)
 
-        code_maps: list[dict[str, int] | None] = [
-            {} if k == CATEGORICAL else None for k in kinds
-        ]
-        rows: list[list[float]] = []
-        targets: list[float] = []
-        n_fields = len(header)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_fields:
-                raise ParseError(f"{path}: row {row_no}: expected {n_fields} fields, got {len(row)}")
-            out = []
-            for j, pos in enumerate(feat_pos):
-                tok = row[pos]
-                if tok == "":
-                    out.append(math.nan)
-                elif kinds[j] == NUMERIC:
-                    try:
-                        out.append(float(tok))
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: row {row_no}, column {header[pos]!r}: "
-                            f"non-numeric token {tok!r}"
-                        ) from None
-                else:
-                    codes = code_maps[j]
-                    assert codes is not None
-                    out.append(float(codes.setdefault(tok, len(codes))))
-            rows.append(out)
-            if target_pos is not None:
-                tok = row[target_pos]
-                if tok == "":
-                    raise ParseError(f"{path}: row {row_no}: missing target value")
-                try:
-                    value = float(tok)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {target_col!r}: "
-                        f"non-numeric token {tok!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {target_col!r}: "
-                        f"non-finite target {tok!r}"
-                    )
-                targets.append(value)
-
-    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(feat_pos))
-    categories = [
-        None if cm is None else [s for s, _ in sorted(cm.items(), key=lambda kv: kv[1])]
-        for cm in code_maps
-    ]
     return Dataset(
-        feature_names=feature_names,
+        feature_names=[header[i] for i in feat_pos],
         kinds=kinds,
         values=values,
-        categories=categories,
-        target=np.asarray(targets, dtype=np.float64) if target_pos is not None else None,
+        categories=[None if v is None else list(v) for v in vocabs],
+        target=target,
         target_name=target_col if target_col is not None else "target",
         name=name if name is not None else os.path.splitext(os.path.basename(str(path)))[0],
     )
+
+
+def encode_csv(path, columns: Sequence[FeatureBins | None]) -> np.ndarray:
+    """Read a scoring CSV and encode it against a trained vocabulary.
+
+    Column ``j`` of the returned matrix is the file's column named
+    ``columns[j].name``: numeric cells as floats, categorical cells as their
+    index in ``columns[j].categories``. Empty cells and categories absent
+    from that list are NaN, whatever order the file lists them in. A None
+    entry is a column nothing reads: it is all NaN and the file need not
+    hold it. Other file columns, a target among them, are not read.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(path, reader)
+        cols: list[tuple[int | None, dict[str, float] | None]] = []
+        for fb in columns:
+            if fb is None:
+                cols.append((None, None))
+            elif fb.name not in header:
+                raise SchemaError(f"{path}: missing feature column {fb.name!r}")
+            else:
+                vocab = None if fb.kind == NUMERIC else {
+                    c: float(i) for i, c in enumerate(fb.categories or ())}
+                cols.append((header.index(fb.name), vocab))
+        values, _ = _decode(path, reader, header, cols, None, grow=False)
+    return values
+
+
+# CSV records decoded per block. A block's cells are Python strings, about
+# 60 bytes each, so this bounds the transient memory of a load.
+_CHUNK_ROWS = 256
+
+
+def _read_header(path, reader) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: file is empty, header row required") from None
+
+
+def _decode(path, reader, header, columns, target_pos, *, grow):
+    """Decode the records after the header, one block of records at a time.
+
+    ``columns`` gives each output column's header position (None: absent,
+    all NaN) and its vocabulary (None: numeric; else category -> code).
+    With ``grow``, a category not in the vocabulary is added to it with the
+    next code; without, it decodes to NaN. Returns the value matrix and the
+    target column (None without ``target_pos``).
+    """
+    n_fields = len(header)
+    blocks, targets = [], []
+    row_no = 2  # file row number of the block's first record
+    while records := list(itertools.islice(reader, _CHUNK_ROWS)):
+        rows = records if all(records) else [r for r in records if r]
+        if rows:
+            try:
+                block, target = _decode_block(rows, n_fields, columns, target_pos, grow)
+            except ValueError:
+                raise _first_error(path, header, row_no, records, columns, target_pos) from None
+            blocks.append(block)
+            targets.append(target)
+        row_no += len(records)
+    values = np.concatenate(blocks) if blocks else np.empty((0, len(columns)))
+    if target_pos is None:
+        return values, None
+    return values, np.concatenate(targets) if targets else np.empty(0)
+
+
+def _decode_block(rows, n_fields, columns, target_pos, grow):
+    """One block, column by column; ValueError if any row in it is bad."""
+    n = len(rows)
+    if set(map(len, rows)) != {n_fields}:
+        raise ValueError("ragged row")
+    cells = list(zip(*rows))
+    out = np.empty((n, len(columns)))
+    for j, (pos, vocab) in enumerate(columns):
+        if pos is None:
+            out[:, j] = np.nan
+            continue
+        col = cells[pos]
+        if vocab is None:
+            if "" in col:
+                col = [tok or "nan" for tok in col]
+            out[:, j] = np.fromiter(map(float, col), np.float64, n)
+            continue
+        if grow:
+            for tok in dict.fromkeys(col):
+                if tok and tok not in vocab:
+                    vocab[tok] = float(len(vocab))
+        out[:, j] = np.fromiter(map(vocab.get, col, itertools.repeat(math.nan, n)),
+                                np.float64, n)
+    if target_pos is None:
+        return out, None
+    target = np.fromiter(map(float, cells[target_pos]), np.float64, n)
+    if not np.isfinite(target).all():
+        raise ValueError("non-finite target")
+    return out, target
+
+
+def _first_error(path, header, row_no, records, columns, target_pos) -> ParseError:
+    """The error of the first bad record of a block known to hold one."""
+    n_fields = len(header)
+    for row_no, row in enumerate(records, start=row_no):
+        if not row:
+            continue
+        if len(row) != n_fields:
+            return ParseError(f"{path}: row {row_no}: expected {n_fields} fields, got {len(row)}")
+        for pos, vocab in columns:
+            if pos is None or vocab is not None or row[pos] == "":
+                continue
+            try:
+                float(row[pos])
+            except ValueError:
+                return ParseError(f"{path}: row {row_no}, column {header[pos]!r}: "
+                                  f"non-numeric token {row[pos]!r}")
+        if target_pos is None:
+            continue
+        tok = row[target_pos]
+        if tok == "":
+            return ParseError(f"{path}: row {row_no}: missing target value")
+        try:
+            value = float(tok)
+        except ValueError:
+            return ParseError(f"{path}: row {row_no}, column {header[target_pos]!r}: "
+                              f"non-numeric token {tok!r}")
+        if not math.isfinite(value):
+            return ParseError(f"{path}: row {row_no}, column {header[target_pos]!r}: "
+                              f"non-finite target {tok!r}")
+    raise AssertionError("the block holds no bad record")
 
 
 def write_csv(ds: Dataset, path) -> None:

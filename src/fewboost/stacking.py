@@ -25,7 +25,7 @@ import numpy as np
 
 from .blend import LinearBlender, fit_blender
 from .booster import Model, check_trainable, predict, train_many
-from .dataset import CATEGORICAL, Dataset, bin_features
+from .dataset import CATEGORICAL, Dataset, FeatureBins, bin_features
 from .errors import ValidationError
 from .fsl import fsl_preset
 from .mlp import MLP
@@ -244,6 +244,22 @@ class StackingPipeline:
     def predict_actions(self, rows) -> np.ndarray:
         return predict_actions(self.fits, self.blender, self.thresholds, rows)
 
+    def feature_columns(self) -> list[FeatureBins | None]:
+        """The binning rule of every input column, in dataset order.
+
+        Column ``feature_set[i]`` of a fit is its model's feature ``i``. The
+        arity is the largest index any fit reads plus one; a column no fit
+        reads is None. :func:`~fewboost.dataset.encode_csv` takes this list.
+        """
+        columns: dict[int, FeatureBins] = {}
+        for fit in self.fits:
+            for j, fb in zip(fit.config.feature_set, fit.model.mapper):
+                seen = columns.setdefault(j, fb)
+                if (seen.name, seen.kind, seen.categories) != (fb.name, fb.kind, fb.categories):
+                    raise ValidationError(f"level-0 models disagree on the name, kind or "
+                                          f"categories of input column {j} ({seen.name!r})")
+        return [columns.get(j) for j in range(max(columns, default=-1) + 1)]
+
     def to_dict(self) -> dict:
         def enc(v: float) -> float | None:
             return None if np.isinf(v) else float(v)
@@ -308,9 +324,12 @@ def save_pipeline(pipeline: StackingPipeline, path) -> None:
         fh.write("\n")
 
 
-def load_pipeline(path) -> StackingPipeline:
-    with open(path, "r", encoding="utf-8") as fh:
-        return StackingPipeline.from_dict(json.load(fh))
+def load_pipeline(path, doc: dict | None = None) -> StackingPipeline:
+    """Decode the pipeline bundle at ``path``; ``doc`` is its already-parsed JSON, if at hand."""
+    if doc is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    return StackingPipeline.from_dict(doc)
 
 
 def make_default_zoo(ds: Dataset, k_per_model: int, seed: int = 0,

@@ -1,8 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewboost.cli import main
 from fewboost.dataset import schema_for, write_csv
@@ -256,4 +259,113 @@ def test_stack_rejects_a_non_finite_target_without_output(tmp_path, stock_csv, c
                  "--k-per-model", "40", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {data}: row 8, column {target!r}: non-finite target {token!r}\n")
+    assert not out.exists()
+
+
+# --- scoring against the training vocabulary -----------------------------
+
+
+@pytest.fixture(scope="module")
+def scoring_bundles(tmp_path_factory):
+    """A model and a pipeline trained on one stock table, and its in-memory scores."""
+    from fewboost.booster import predict, save_model, train
+    from fewboost.dataset import bin_features
+    from fewboost.fsl import fsl_preset
+    from fewboost.stacking import fit_stacking, make_default_zoo, save_pipeline
+
+    tmp = tmp_path_factory.mktemp("scoring")
+    ds = make_synthetic_stock(n_rows=300, seed=4)
+    params = dataclasses.replace(fsl_preset(), objective="mse", n_rounds=20)
+    model = train(bin_features(ds, params.max_bin, params.min_data_in_bin), params)
+    pipeline = fit_stacking(ds, make_default_zoo(ds, 40, seed=0),
+                            {"sell": 0.25, "hold": 0.5, "buy": 0.25}, seed=0)
+    # the scoring file's category order can only matter if a model splits on it
+    assert any(fit.model.mapper[nd.feature].kind == "categorical"
+               for fit in pipeline.fits for t in fit.model.trees for nd in t.internal_nodes())
+    save_model(model, tmp / "model.json")
+    save_pipeline(pipeline, tmp / "pipeline.json")
+    return {"ds": ds, "dir": tmp,
+            "model": (tmp / "model.json", "score", predict(model, ds.values)),
+            "pipeline": (tmp / "pipeline.json", "blended_score", pipeline.predict_score(ds.values))}
+
+
+def _write_rows(ds, rows, cols, path):
+    """Rows ``rows`` of ``ds`` as CSV, its feature columns in the order ``cols``."""
+    write_csv(ds.take(rows), path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([row[j] for j in cols] for row in table)
+
+
+def _scores(path, column):
+    with open(path, encoding="utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
+    return np.array([float(row[table[0].index(column)]) for row in table[1:]])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_scores_do_not_depend_on_the_scoring_files_row_order(scoring_bundles, seed):
+    """Mapped back by row, scores are the training-vocabulary scores."""
+    ds, tmp = scoring_bundles["ds"], scoring_bundles["dir"]
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(ds.n_rows)
+    _write_rows(ds, order, rng.permutation(ds.n_features + 1), tmp / "rows.csv")
+    for kind in ("model", "pipeline"):
+        bundle, column, want = scoring_bundles[kind]
+        out = tmp / f"{kind}-scores.csv"
+        assert main(["predict", "--model", str(bundle), "--data", str(tmp / "rows.csv"),
+                     "--out", str(out)]) == 0
+        got = np.empty(ds.n_rows)
+        got[order] = _scores(out, column)
+        assert np.array_equal(got, want), kind
+
+
+def test_pipeline_predict_without_schema_uses_the_training_vocabulary(tmp_path, scoring_bundles):
+    ds = scoring_bundles["ds"]
+    bundle, _, want = scoring_bundles["pipeline"]
+    rows = np.arange(ds.n_rows)[::-1]
+    _write_rows(ds, rows, range(ds.n_features + 1), tmp_path / "rows.csv")
+    out = tmp_path / "actions.csv"
+    assert main(["predict", "--model", str(bundle), "--data", str(tmp_path / "rows.csv"),
+                 "--out", str(out)]) == 0
+    assert np.array_equal(_scores(out, "blended_score"), want[rows])
+    from fewboost.stacking import load_pipeline
+
+    actions = load_pipeline(bundle).thresholds.apply(want[rows])
+    assert np.array_equal(_scores(out, "action"), actions)
+
+
+@pytest.mark.parametrize("kind", ["model", "pipeline"])
+def test_predict_without_a_needed_column_fails_without_output(tmp_path, scoring_bundles,
+                                                              capsys, kind):
+    ds = scoring_bundles["ds"]
+    bundle = scoring_bundles[kind][0]
+    keep = [j for j, name in enumerate(ds.feature_names) if name != "Group"]
+    _write_rows(ds, np.arange(10), keep, tmp_path / "rows.csv")
+    out = tmp_path / "scores.csv"
+    assert main(["predict", "--model", str(bundle), "--data", str(tmp_path / "rows.csv"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'rows.csv'}: missing feature column 'Group'\n"
+    assert not out.exists()
+
+
+def test_predict_rejects_a_pipeline_whose_models_disagree_on_a_column(tmp_path, scoring_bundles,
+                                                                      capsys):
+    ds = scoring_bundles["ds"]
+    doc = json.loads(scoring_bundles["pipeline"][0].read_text(encoding="utf-8"))
+    entry = next(e for e in doc["level0"][1:] if ds.n_features - 1 in e["feature_set"])
+    feature = entry["model"]["features"][entry["feature_set"].index(ds.n_features - 1)]
+    feature["categories"] = feature["categories"][::-1]
+    bundle = tmp_path / "pipeline.json"
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
+    write_csv(ds, tmp_path / "rows.csv")
+    out = tmp_path / "scores.csv"
+    assert main(["predict", "--model", str(bundle), "--data", str(tmp_path / "rows.csv"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: level-0 models disagree on the name, kind or categories of input column "
+        f"{ds.n_features - 1} ('Group')\n")
     assert not out.exists()

@@ -64,3 +64,22 @@ def test_a_traced_run_measures_every_layer(tmp_path):
     for name in ("fsl.run_benchmark_s", "booster.train_s", "stacking.train_level0_s",
                  "cli.predict_s", "booster.bundle_bytes"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_a_traced_pipeline_predict_counts_its_bundle_decode(tmp_path):
+    stock = make_synthetic_stock(n_rows=300, seed=0)
+    write_csv(stock, tmp_path / "stock.csv")
+    pipeline = stacking.fit_stacking(stock, make_default_zoo(stock, 40, seed=0), DIST)
+    stacking.save_pipeline(pipeline, tmp_path / "pipeline.json")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.phase("round"):
+            assert cli.main(["predict", "--model", str(tmp_path / "pipeline.json"),
+                             "--data", str(tmp_path / "stock.csv"),
+                             "--out", str(tmp_path / "scores.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(setup_passes=1, rounds=1)
+    assert metrics["booster.bundle_bytes"]["value"] == (tmp_path / "pipeline.json").stat().st_size
+    assert 0 < metrics["booster.bundle_decode_s"]["value"] < metrics["cli.predict_s"]["value"]
