@@ -21,12 +21,11 @@ from .params import Params
 from .stacking import (ActionThresholds, Level0Config, Level0Fit,
                        Level0Result, StackingPipeline, calibrate_thresholds,
                        fit_stacking, level0_predictions, load_pipeline,
-                       make_default_zoo, partition_shots, predict_actions,
-                       save_pipeline, train_level0, winsorize)
+                       make_default_zoo, partition_shots, save_pipeline,
+                       train_level0, winsorize)
 from .synth import make_synthetic_binary, make_synthetic_stock
 from .tree import (FeatureHistogram, GrowJob, NodeStats, SplitCandidate, Tree,
-                   build_histogram, categorical_split, children_score,
-                   extra_random_split, find_best_split, grow_tree, grow_trees,
-                   split_gain, variance_gain)
+                   build_histogram, categorical_split, extra_random_split,
+                   find_best_split, grow_tree, grow_trees)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .booster import Model, load_model, predict, save_model, train
-from .dataset import bin_features, encode_csv, load_csv, load_schema
+from .dataset import bin_features, encode_csv, load_csv, load_schema, open_csv
 from .errors import FewboostError, ValidationError
 from .fsl import default_preset, fsl_preset, run_benchmark
 from .params import Params
@@ -160,8 +160,7 @@ def cmd_stack(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    with open(args.data, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(args.data) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -25,13 +25,14 @@ categories are never merged at binning time.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -134,8 +135,7 @@ def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_tar
         raise SchemaError(f"schema declares multiple target columns: {target_cols}")
     target_col = target_cols[0] if target_cols else None
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = _read_header(path, reader)
 
         unknown = [c for c in header if c not in schema]
@@ -175,8 +175,7 @@ def encode_csv(path, columns: Sequence[FeatureBins | None]) -> np.ndarray:
     entry is a column nothing reads: it is all NaN and the file need not
     hold it. Other file columns, a target among them, are not read.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = _read_header(path, reader)
         cols: list[tuple[int | None, dict[str, float] | None]] = []
         for fb in columns:
@@ -195,6 +194,23 @@ def encode_csv(path, columns: Sequence[FeatureBins | None]) -> np.ndarray:
 # CSV records decoded per block. A block's cells are Python strings, about
 # 60 bytes each, so this bounds the transient memory of a load.
 _CHUNK_ROWS = 256
+
+
+@contextlib.contextmanager
+def open_csv(path) -> Iterator:
+    """A :mod:`csv` reader over the UTF-8 file ``path``, closed on exit.
+
+    A file that is not UTF-8 text, or a field longer than
+    ``csv.field_size_limit()``, raises :class:`ParseError` naming the file.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_header(path, reader) -> list[str]:
@@ -347,12 +363,6 @@ class FeatureBins:
     def n_bins(self) -> int:
         return self.n_real_bins + 1
 
-    @property
-    def category_map(self) -> dict[int, int] | None:
-        if self.kind != CATEGORICAL:
-            return None
-        return {c: c for c in range(self.n_real_bins)}
-
     def bin_values(self, col: np.ndarray) -> np.ndarray:
         """Map one column of raw values to bin indices."""
         col = np.asarray(col, dtype=np.float64)
@@ -395,18 +405,6 @@ class BinnedDataset:
     @property
     def kinds(self) -> list[str]:
         return [fb.kind for fb in self.mapper]
-
-    @property
-    def bin_edges(self) -> list[np.ndarray | None]:
-        return [fb.edges for fb in self.mapper]
-
-    @property
-    def category_map(self) -> list[dict[int, int] | None]:
-        return [fb.category_map for fb in self.mapper]
-
-    @property
-    def missing_bin(self) -> np.ndarray:
-        return np.asarray([fb.missing_bin for fb in self.mapper], dtype=np.int64)
 
 
 def _numeric_bin_groups(counts: np.ndarray, max_bin: int, min_data_in_bin: int) -> list[int]:

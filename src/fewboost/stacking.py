@@ -219,13 +219,6 @@ def calibrate_thresholds(scores, target_dist: Mapping[str, float]) -> ActionThre
     return ActionThresholds(t_low=float(t_low), t_high=float(t_high))
 
 
-def predict_actions(fits: Sequence[Level0Fit], blender: LinearBlender | MLP,
-                    thresholds: ActionThresholds, rows) -> np.ndarray:
-    """Level-0 predictions -> blend -> thresholds -> {-1, 0, +1}."""
-    meta = level0_predictions(fits, rows)
-    return thresholds.apply(blender.forward(meta))
-
-
 @dataclass
 class StackingPipeline:
     """Level-0 fits, their blender and the action thresholds.
@@ -242,7 +235,8 @@ class StackingPipeline:
         return self.blender.forward(level0_predictions(self.fits, rows))
 
     def predict_actions(self, rows) -> np.ndarray:
-        return predict_actions(self.fits, self.blender, self.thresholds, rows)
+        """Level-0 predictions -> blend -> thresholds -> {-1, 0, +1}."""
+        return self.thresholds.apply(self.predict_score(rows))
 
     def feature_columns(self) -> list[FeatureBins | None]:
         """The binning rule of every input column, in dataset order.

@@ -32,10 +32,9 @@ stream as one draw per row in node and feature order. Across a node's
 features the first strictly highest gain wins, among gains that are finite
 and positive. The public one-feature selectors (:func:`find_best_split`,
 :func:`extra_random_split`, :func:`categorical_split`) run the same scan on
-a one-row block, and so does the variance gain form. Every float sum is
-accumulated in the same order as a one-feature-at-a-time scan would (no
-histogram is derived by subtraction), so the trees do not depend on how
-many features or nodes share a scan.
+a one-row block. Every float sum is accumulated in the same order as a
+one-feature-at-a-time scan would (no histogram is derived by subtraction),
+so the trees do not depend on how many features or nodes share a scan.
 
 A boundary is admissible only when both children hold at least
 ``min_data_in_leaf`` rows. A node with fewer than ``2 * min_data_in_leaf``
@@ -43,12 +42,8 @@ rows therefore has no admissible boundary; it stays a leaf before any
 histogram is built or random draw made. This gate is what makes tiny
 training sets unsplittable under large leaf floors.
 
-Two gain evaluators are provided. The default is the hessian-weighted
-children score ``GL^2/HL + GR^2/HR`` minus the parent score
-``(GL+GR)^2/(HL+HR)``. The alternative is the count-normalized variance form
-``(GL^2/n_left + GR^2/n_right) / n_node``, kept for cross-checking: with unit
-hessians the children score equals ``n_node`` times the variance form, so
-both evaluators rank boundaries identically.
+The gain of a split is the hessian-weighted children score
+``GL^2/HL + GR^2/HR`` minus the parent score ``(GL+GR)^2/(HL+HR)``.
 
 Rows whose feature value is missing sit in a reserved trailing bin and are
 attached to whichever side of a split yields the higher gain
@@ -116,10 +111,6 @@ class SplitCandidate(NamedTuple):
     threshold_bin: int | None = None
     left_cats: tuple[int, ...] | None = None
 
-    @property
-    def is_categorical(self) -> bool:
-        return self.left_cats is not None
-
 
 # ---------------------------------------------------------------------------
 # gain evaluators
@@ -128,40 +119,6 @@ class SplitCandidate(NamedTuple):
 def _score(g, h):
     """Per-side score g^2/h; 0/0 is 0, x/0 is +inf. Call under ``np.errstate``."""
     return np.where(h > 0, g * g / h, np.where(g == 0, 0.0, np.inf))
-
-
-def _side_score(g, h):
-    """Hessian-form per-side score g^2/h; 0/0 is 0, x/0 is +inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _score(np.asarray(g, dtype=np.float64), np.asarray(h, dtype=np.float64))
-
-
-def children_score(g_left: float, h_left: float, g_right: float, h_right: float) -> float:
-    """Hessian-form two-child score GL^2/HL + GR^2/HR."""
-    return float(_side_score(g_left, h_left) + _side_score(g_right, h_right))
-
-
-def split_gain(g_left: float, h_left: float, g_right: float, h_right: float) -> float:
-    """Children score minus the parent score (always >= 0 for h > 0)."""
-    return children_score(g_left, h_left, g_right, h_right) - float(
-        _side_score(g_left + g_right, h_left + h_right)
-    )
-
-
-def variance_gain(g_left, n_left, g_right, n_right, n_node) -> np.ndarray | float:
-    """Count-normalized variance-after-split: (GL^2/nl + GR^2/nr) / n_node.
-
-    ``n_node`` may be an array that broadcasts against the sides.
-    """
-    g_left = np.asarray(g_left, dtype=np.float64)
-    g_right = np.asarray(g_right, dtype=np.float64)
-    nl = np.asarray(n_left, dtype=np.float64)
-    nr = np.asarray(n_right, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = np.where(nl > 0, g_left * g_left / np.where(nl > 0, nl, 1.0), 0.0)
-        right = np.where(nr > 0, g_right * g_right / np.where(nr > 0, nr, 1.0), 0.0)
-    out = (left + right) / np.asarray(n_node, dtype=np.float64)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _missing_left(sides, miss, total, running, out=None):
@@ -186,19 +143,16 @@ def _missing_left(sides, miss, total, running, out=None):
     return out
 
 
-def _gains(sides, parent, min_leaf, n_node=None):
+def _gains(sides, parent, min_leaf):
     """Gain of every candidate from its children's sums, laid out as in :func:`_missing_left`.
 
-    The gain is the children score minus ``parent``, or with ``n_node`` the
-    variance form. It is -inf where a child holds fewer than ``min_leaf``
-    rows or the gain is NaN. Call under ``np.errstate``.
+    The gain is the children score minus ``parent``. It is -inf where a
+    child holds fewer than ``min_leaf`` rows or the gain is NaN. Call under
+    ``np.errstate``.
     """
     g, h, n = sides[:, 0], sides[:, 1], sides[:, 2]
-    if n_node is None:
-        score = _score(g, h)
-        gain = score[0] + score[1] - parent
-    else:
-        gain = variance_gain(g[0], n[0], g[1], n[1], n_node)
+    score = _score(g, h)
+    gain = score[0] + score[1] - parent
     gain[(n[0] < min_leaf) | (n[1] < min_leaf) | np.isnan(gain)] = -np.inf
     return gain
 
@@ -222,6 +176,7 @@ def _histograms(offset_bins: np.ndarray, grad: np.ndarray, hess: np.ndarray, siz
             np.bincount(flat, minlength=size))
 
 
+# Kept public because bench/tracing.py wraps it by name; growth builds histograms in _Grower.
 def build_histogram(bds: BinnedDataset, feature: int, node: NodeStats, grads) -> FeatureHistogram:
     """Accumulate grad/hess/count per bin over the node's rows."""
     fb = bds.mapper[feature]
@@ -239,7 +194,7 @@ def build_histogram(bds: BinnedDataset, feature: int, node: NodeStats, grads) ->
 # the split scan
 
 
-def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params], gain_form: str,
+def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
                  draws) -> list[SplitCandidate | None]:
     """Best split of every node in a ragged (node, feature) histogram block, in one pass.
 
@@ -265,12 +220,11 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params], gain
 
     ``draws`` lists ``(rng, lo, hi)`` for every extra-trees tree: the rows
     ``lo:hi`` belong to the tree drawing from ``rng``, and each of them with
-    an admissible numeric boundary or prefix cut draws one, numeric
-    boundaries scored in hessian form. Every other row is greedy and keeps
-    its first best candidate, numeric boundaries scored under ``gain_form``.
-    One-vs-other categorical splits are greedy in every row. Across a node's
-    rows the first strictly highest gain wins (the missing rows go left on a
-    tie), and a row's gain counts only if it is finite and positive.
+    an admissible numeric boundary or prefix cut draws one. Every other row
+    is greedy and keeps its first best candidate. One-vs-other categorical
+    splits are greedy in every row. Across a node's rows the first strictly
+    highest gain wins (the missing rows go left on a tie), and a row's gain
+    counts only if it is finite and positive.
     """
     starts = np.asarray(starts)
     n_nodes = starts.size - 1
@@ -291,12 +245,6 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params], gain
     for _, lo, hi in draws:
         extra[lo:hi] = True
     drawing = numeric & extra
-    if gain_form == "variance":
-        variance = numeric & ~extra  # greedy numeric rows take the count-normalized form
-    elif gain_form == "hessian":
-        variance = None
-    else:
-        raise ValidationError(f"unknown gain_form {gain_form!r}")
     one_hot = is_cat.copy()
     if is_cat.any():
         present = (hist[2, :, :-1] > 0) & (np.arange(width) < missing[:, None])
@@ -304,14 +252,6 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params], gain
 
     with np.errstate(divide="ignore", invalid="ignore"):
         parent = _score(total[0], total[1])
-
-        def row_gains(sides, sel):
-            gains = _gains(sides, parent[sel], min_leaf[sel])
-            if variance is not None and variance[sel].any():
-                v = variance[sel]
-                gains[v] = _gains(sides[:, :, v], None, min_leaf[sel][v], total[2][sel][v])
-            return gains
-
         # the children of every candidate with the missing rows sent right,
         # then with them sent left in the rows that hold missing rows
         held = np.flatnonzero(miss[2, :, 0] > 0)
@@ -325,7 +265,7 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params], gain
         if held.size:
             _missing_left(right[:, :, held], miss[:, held], total[:, held], ~one_hot[held],
                           out=sides[:, :, n_rows:])
-        gains = row_gains(sides, scored)
+        gains = _gains(sides, parent[scored], min_leaf[scored])
         best = gains[:n_rows]
         if held.size:
             use_left = gains[n_rows:] >= best[held]
@@ -448,18 +388,19 @@ def _prefix_cuts(hist, k: int, total, params: Params):
             np.flatnonzero(admissible))
 
 
-def _one_feature(hist: FeatureHistogram, node: NodeStats, params: Params, gain_form: str,
+# The one-feature selectors below stay public because bench/tracing.py wraps them by name.
+def _one_feature(hist: FeatureHistogram, node: NodeStats, params: Params,
                  rng: np.random.Generator | None) -> SplitCandidate | None:
     """The node scan over a single feature's histogram."""
     meta = np.array([[hist.feature], [hist.missing_bin], [hist.is_categorical],
                      [params.min_data_in_leaf], [params.max_cat_to_onehot]], dtype=np.intp)
     block = np.array([hist.sum_grad, hist.sum_hess, hist.count], dtype=np.float64)[:, None]
     return _best_splits(meta, block, np.array([[node.sum_grad], [node.sum_hess], [node.n]]),
-                        [0, 1], [params], gain_form, [] if rng is None else [(rng, 0, 1)])[0]
+                        [0, 1], [params], [] if rng is None else [(rng, 0, 1)])[0]
 
 
-def find_best_split(hist: FeatureHistogram, node: NodeStats, params: Params,
-                    gain_form: str = "hessian") -> SplitCandidate | None:
+def find_best_split(hist: FeatureHistogram, node: NodeStats,
+                    params: Params) -> SplitCandidate | None:
     """Best admissible boundary for a numeric feature, or None.
 
     None means not splittable: either no boundary passes the
@@ -468,7 +409,7 @@ def find_best_split(hist: FeatureHistogram, node: NodeStats, params: Params,
     """
     if hist.is_categorical:
         raise ValidationError("find_best_split handles numeric features; use categorical_split")
-    return _one_feature(hist, node, params, gain_form, None)
+    return _one_feature(hist, node, params, None)
 
 
 def extra_random_split(hist: FeatureHistogram, node: NodeStats, params: Params,
@@ -482,7 +423,7 @@ def extra_random_split(hist: FeatureHistogram, node: NodeStats, params: Params,
     """
     if hist.is_categorical:
         raise ValidationError("extra_random_split handles numeric features; use categorical_split")
-    return _one_feature(hist, node, params, "hessian", rng)
+    return _one_feature(hist, node, params, rng)
 
 
 def categorical_split(hist: FeatureHistogram, node: NodeStats, params: Params,
@@ -501,7 +442,7 @@ def categorical_split(hist: FeatureHistogram, node: NodeStats, params: Params,
     """
     if not hist.is_categorical:
         raise ValidationError("categorical_split requires a categorical feature histogram")
-    return _one_feature(hist, node, params, "hessian", rng if params.extra_trees else None)
+    return _one_feature(hist, node, params, rng if params.extra_trees else None)
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +572,8 @@ class GrowJob(NamedTuple):
     """One tree to grow: its data, gradients, in-bag rows, features, generator and params.
 
     Every job of a batch needs its own generator. ``params`` governs this
-    tree alone (its leaf floor and budget, greedy or extra-trees selection
-    and the categorical knobs); None means the ``params`` passed to
-    :func:`grow_trees`.
+    tree alone: its leaf floor and budget, greedy or extra-trees selection
+    and the categorical knobs.
     """
 
     bds: BinnedDataset
@@ -641,20 +581,17 @@ class GrowJob(NamedTuple):
     row_set: Any
     feature_subset: Any
     rng: np.random.Generator
-    params: Params | None = None
+    params: Params
 
 
 class _Grower:
     """One tree's growth state: its frontier of scanned leaves and its offset bins."""
 
-    def __init__(self, job: GrowJob, params: Params | None):
+    def __init__(self, job: GrowJob):
         row_set = np.asarray(job.row_set, dtype=np.intp)
         if row_set.size == 0:
             raise ValidationError("grow_tree requires a non-empty row set")
-        self.params = params if job.params is None else job.params
-        if self.params is None:
-            raise ValidationError("a grow job without params needs grow_trees(params=...)")
-        self.bds, self.grads, self.rng = job.bds, job.grads, job.rng
+        self.bds, self.grads, self.rng, self.params = job.bds, job.grads, job.rng, job.params
         features = sorted(int(f) for f in job.feature_subset)
         fbs = [self.bds.mapper[f] for f in features]
         p = self.params
@@ -711,8 +648,8 @@ class _Grower:
         return [(self, node.left, left_stats), (self, node.right, right_stats)]
 
 
-def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int,
-          gain_form: str) -> list[SplitCandidate | None]:
+def _scan(pending: list[tuple[_Grower, int, NodeStats]],
+          width: int) -> list[SplitCandidate | None]:
     """One split scan over every pending node; each tree's nodes are adjacent."""
     out: list[SplitCandidate | None] = [None] * len(pending)
     scanned, growers, hists, totals, starts, draws = [], [], [], [], [0], []
@@ -735,30 +672,28 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]], width: int,
         return out
     cands = _best_splits(np.concatenate([g.meta for g in growers], axis=1),
                          np.concatenate(hists, axis=1), np.array(totals).T, starts,
-                         [g.params for g in growers], gain_form, draws)
+                         [g.params for g in growers], draws)
     for i, cand in zip(scanned, cands):
         out[i] = cand
     return out
 
 
-def grow_trees(jobs: Sequence[GrowJob], params: Params | None = None,
-               gain_form: str = "hessian") -> list[Tree]:
+def grow_trees(jobs: Sequence[GrowJob]) -> list[Tree]:
     """Grow one tree per job leaf-wise (best-first) under the leaf budget, in lockstep.
 
-    Each tree follows its job's ``params`` (``params`` here for a job
-    without any) and splits the frontier leaf with the highest candidate
-    gain until its ``num_leaves`` is reached or nothing is splittable. All
-    trees take their growth steps together, and each step scans every new
-    leaf of every tree at once; a tree comes out as :func:`grow_tree` would
-    grow it alone under its own parameters, and its generator ends in the
-    same state. Leaf values are the Newton step ``-sum_grad / sum_hess``
+    Each tree follows its job's ``params`` and splits the frontier leaf with
+    the highest candidate gain until its ``num_leaves`` is reached or nothing
+    is splittable. All trees take their growth steps together, and each step
+    scans every new leaf of every tree at once; a tree comes out as
+    :func:`grow_tree` would grow it alone under its own parameters, and its
+    generator ends in the same state. Leaf values are the Newton step ``-sum_grad / sum_hess``
     clamped to +-1e4.
     """
-    growers = [_Grower(job, params) for job in jobs]
+    growers = [_Grower(job) for job in jobs]
     width = max((g.width for g in growers), default=0)
     pending = [(g, 0, g.root) for g in growers]
     while pending:
-        for (grower, nid, stats), cand in zip(pending, _scan(pending, width, gain_form)):
+        for (grower, nid, stats), cand in zip(pending, _scan(pending, width)):
             if cand is not None:
                 heapq.heappush(grower.frontier, (-cand.gain, nid, cand, stats))
         pending = [child for g in growers
@@ -768,6 +703,6 @@ def grow_trees(jobs: Sequence[GrowJob], params: Params | None = None,
 
 
 def grow_tree(bds: BinnedDataset, grads, row_set, feature_subset, params: Params,
-              rng: np.random.Generator, gain_form: str = "hessian") -> Tree:
+              rng: np.random.Generator) -> Tree:
     """Grow one tree leaf-wise (best-first): :func:`grow_trees` on one job."""
-    return grow_trees([GrowJob(bds, grads, row_set, feature_subset, rng)], params, gain_form)[0]
+    return grow_trees([GrowJob(bds, grads, row_set, feature_subset, rng, params)])[0]

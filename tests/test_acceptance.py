@@ -22,9 +22,10 @@ from fewboost.params import Params
 from fewboost.stacking import (calibrate_thresholds, fit_stacking,
                                make_default_zoo, train_level0)
 from fewboost.synth import make_synthetic_binary, make_synthetic_stock
-from fewboost.tree import (NodeStats, build_histogram, find_best_split,
-                           variance_gain)
+from fewboost.tree import NodeStats, build_histogram, find_best_split
 from fewboost.booster import GradientPairs
+
+import reference_tree
 
 from helpers import (brute_force_auc, brute_force_best_split,
                      finite_diff_grads, max_relative_error)
@@ -186,11 +187,13 @@ def test_criterion_5_unit_gain_instance():
     stats = NodeStats.from_rows(np.arange(6), grads)
     hist = build_histogram(bds, 0, stats, grads)
     params = Params(min_data_in_leaf=1)
-    v = find_best_split(hist, stats, params, gain_form="variance")
-    h = find_best_split(hist, stats, params, gain_form="hessian")
+    # the variance form lives in the frozen reference; the library scores in hessian form
+    v = reference_tree.find_best_split(hist, stats, params, gain_form="variance")
+    h = find_best_split(hist, stats, params)
     assert v.threshold_bin == 2 and h.threshold_bin == 2
     assert abs(v.gain - 1.0) < 1e-12
-    assert abs(variance_gain(3.0, 3, -3.0, 3, 6) - 1.0) < 1e-15
+    assert abs(reference_tree.variance_gain(3.0, 3, -3.0, 3, 6) - 1.0) < 1e-15
+    assert h.gain == 6.0  # (3^2/3 + 3^2/3) - 0^2/6, n_node times the variance form
 
 
 @criterion(6, "rank-based AUC equals pairwise brute force within 1e-12 "

@@ -369,3 +369,40 @@ def test_predict_rejects_a_pipeline_whose_models_disagree_on_a_column(tmp_path, 
         "error: level-0 models disagree on the name, kind or categories of input column "
         f"{ds.n_features - 1} ('Group')\n")
     assert not out.exists()
+
+
+# --- CSV faults end in one error line -----------------------------------------
+
+
+def _corrupt(text: str, fault: str) -> bytes:
+    """``text`` as bytes that are not UTF-8, or with a first field over the csv field limit."""
+    if fault == "not-utf8":
+        return b"\xff\xfe" + text.encode("utf-8")
+    header, first, rest = text.split("\n", 2)
+    return f"{header}\n{'x' * 200_000}{first[first.index(','):]}\n{rest}".encode("utf-8")
+
+
+@pytest.mark.parametrize("fault, problem", [
+    ("not-utf8", "not UTF-8 text (invalid start byte)"),
+    ("long-field", f"line 2: field larger than field limit ({csv.field_size_limit()})"),
+])
+@pytest.mark.parametrize("command", ["train", "bench", "stack", "predict", "calibrate"])
+def test_a_malformed_csv_fails_with_one_error_line_and_no_output(tmp_path, binary_csv, capsys,
+                                                                 command, fault, problem):
+    data, schema = binary_csv
+    out = tmp_path / "out.json"
+    args = ["--schema", str(schema), "--out", str(out)]
+    if command == "predict":
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), *args[:2], "--out", str(model)]) == 0
+        args = ["--model", str(model), "--out", str(out)]
+    elif command == "calibrate":
+        data = tmp_path / "scores.csv"
+        data.write_text("row_id,score\n0,0.5\n1,0.7\n", encoding="utf-8")
+        args = ["--target-dist", "0.25,0.5,0.25", "--out", str(out)]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(_corrupt(data.read_text(encoding="utf-8"), fault))
+    capsys.readouterr()
+    assert main([command, "--data", str(bad), *args]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
+    assert not out.exists() and not (tmp_path / "out.txt").exists()

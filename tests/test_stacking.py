@@ -16,8 +16,7 @@ from fewboost.stacking import (ActionThresholds, Level0Config,
                                calibrate_thresholds, fit_stacking,
                                level0_predictions, load_pipeline,
                                make_default_zoo, partition_shots,
-                               predict_actions, save_pipeline, train_level0,
-                               winsorize)
+                               save_pipeline, train_level0, winsorize)
 from fewboost.synth import make_synthetic_stock
 
 
@@ -385,15 +384,6 @@ def test_level0_predictions_column_order():
     result = train_level0(ds, _zoo(ds, k=60, seed=4))
     recomputed = level0_predictions(result.fits, ds.values[result.meta_indices])
     assert np.array_equal(recomputed, result.meta_features)
-
-
-def test_predict_actions_function_matches_pipeline():
-    ds = make_synthetic_stock(n_rows=400, seed=8)
-    pipeline = fit_stacking(ds, _zoo(ds, k=60, seed=5),
-                            {"sell": 0.3, "hold": 0.4, "buy": 0.3}, seed=1)
-    via_fn = predict_actions(pipeline.fits, pipeline.blender, pipeline.thresholds,
-                             ds.values[:50])
-    assert np.array_equal(via_fn, pipeline.predict_actions(ds.values[:50]))
 
 
 def test_make_default_zoo_feature_groups():

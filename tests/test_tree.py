@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from fewboost.booster import GradientPairs, compute_gradients
 from fewboost.dataset import BinnedDataset, FeatureBins
-from fewboost.errors import ValidationError
 from fewboost.params import OBJECTIVES, Params
 from fewboost.tree import (GrowJob, NodeStats, build_histogram,
-                           categorical_split, children_score,
-                           extra_random_split, find_best_split, grow_tree,
-                           grow_trees, variance_gain)
+                           categorical_split, extra_random_split,
+                           find_best_split, grow_tree, grow_trees)
 
 import reference_tree
 from helpers import brute_force_best_split
@@ -48,6 +46,12 @@ def _node(n):
 
 
 P1 = Params(min_data_in_leaf=1, num_leaves=31)
+
+
+def _children_score(g_left, h_left, g_right, h_right):
+    """Hessian-form two-child score GL^2/HL + GR^2/HR, from the reference's side score."""
+    return float(reference_tree._side_score(g_left, h_left)
+                 + reference_tree._side_score(g_right, h_right))
 
 
 # --- histograms -----------------------------------------------------------
@@ -109,18 +113,18 @@ def test_gate_blocks_small_nodes_regardless_of_gradients():
 
 def test_hand_instance_unit_gain():
     # one row per bin, gradients +-1, unit hessians: the middle boundary
-    # scores (1/6)*(3^2/3 + 3^2/3) = 1.0 under the variance evaluator
+    # scores (1/6)*(3^2/3 + 3^2/3) = 1.0 under the reference's variance evaluator
     grads = _grads([1, 1, 1, -1, -1, -1])
     hist, stats = _hist_for([0, 1, 2, 3, 4, 5], grads)
-    cand_v = find_best_split(hist, stats, P1, gain_form="variance")
+    cand_v = reference_tree.find_best_split(hist, stats, P1, gain_form="variance")
     assert cand_v is not None
     assert cand_v.threshold_bin == 2
     assert cand_v.gain == pytest.approx(1.0, abs=1e-12)
-    cand_h = find_best_split(hist, stats, P1, gain_form="hessian")
+    cand_h = find_best_split(hist, stats, P1)
     assert cand_h.threshold_bin == 2
     assert cand_h.n_left == 3 and cand_h.n_right == 3
     # hessian-form children score equals n * V when hessians are 1
-    assert children_score(3, 3, -3, 3) == pytest.approx(6 * 1.0)
+    assert _children_score(3, 3, -3, 3) == pytest.approx(6 * 1.0)
 
 
 def test_all_zero_gradients_not_splittable():
@@ -180,14 +184,14 @@ def test_gain_form_argmax_agreement_unit_hessians(seed):
     bins = rng.integers(0, 8, size=n)
     grads = _grads(rng.standard_normal(n))  # unit hessians
     hist, stats = _hist_for(bins, grads, n_real=8)
-    h = find_best_split(hist, stats, P1, gain_form="hessian")
-    v = find_best_split(hist, stats, P1, gain_form="variance")
+    h = find_best_split(hist, stats, P1)
+    v = reference_tree.find_best_split(hist, stats, P1, gain_form="variance")
     if h is None or v is None:
         assert h is None and v is None
         return
     assert h.threshold_bin == v.threshold_bin
     # children score = n * V at the chosen boundary
-    assert h.gain + children_score(stats.sum_grad, stats.sum_hess, 0.0, 1.0) == pytest.approx(
+    assert h.gain + _children_score(stats.sum_grad, stats.sum_hess, 0.0, 1.0) == pytest.approx(
         stats.n * v.gain, rel=1e-12, abs=1e-12)
 
 
@@ -294,7 +298,7 @@ def test_categorical_one_vs_other_path():
         left = np.isin([0, 0, 1, 1, 2, 2], [c])
         gl, hl = grads.grad[left].sum(), grads.hess[left].sum()
         gr, hr = grads.grad[~left].sum(), grads.hess[~left].sum()
-        gain = children_score(gl, hl, gr, hr) - children_score(gl + gr, hl + hr, 0, 1)
+        gain = _children_score(gl, hl, gr, hr) - _children_score(gl + gr, hl + hr, 0, 1)
         if best is None or gain > best[1]:
             best = (c, gain)
     assert cand.left_cats == (best[0],)
@@ -399,10 +403,9 @@ def test_grow_same_tree_under_both_gain_forms_with_unit_hessians():
     grads = _grads(rng.standard_normal(n))  # unit hessians, mse-style
     bds = _binned_from_bins(bins, n_real=[8] * 4)
     params = Params(min_data_in_leaf=2, num_leaves=64)
-    t1 = grow_tree(bds, grads, _node(n), range(4), params, np.random.default_rng(0),
-                   gain_form="hessian")
-    t2 = grow_tree(bds, grads, _node(n), range(4), params, np.random.default_rng(0),
-                   gain_form="variance")
+    t1 = grow_tree(bds, grads, _node(n), range(4), params, np.random.default_rng(0))
+    t2 = reference_tree.grow_tree(bds, grads, _node(n), range(4), params,
+                                  np.random.default_rng(0), gain_form="variance")
     assert np.allclose(t1.predict_bins(bds.bins), t2.predict_bins(bds.bins))
     structure1 = sorted((nd.feature, nd.threshold_bin, nd.count) for nd in t1.internal_nodes())
     structure2 = sorted((nd.feature, nd.threshold_bin, nd.count) for nd in t2.internal_nodes())
@@ -435,7 +438,7 @@ def test_leaf_value_clamped():
 
 
 def test_variance_gain_helper_matches_formula():
-    assert variance_gain(3.0, 3, -3.0, 3, 6) == pytest.approx(1.0)
+    assert reference_tree.variance_gain(3.0, 3, -3.0, 3, 6) == pytest.approx(1.0)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -502,15 +505,13 @@ def test_grow_tree_matches_frozen_reference(seed):
         cat_l2=float(rng.choice([0.0, 1.0, 10.0])),
         cat_smooth=float(rng.choice([0.0, 1.0, 10.0])),
     )
-    gain_form = str(rng.choice(["hessian", "variance"]))
     rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     feats = rng.choice(n_features, size=int(rng.integers(1, n_features + 1)), replace=False)
     tree_seed = int(rng.integers(2**32))
 
     lib_rng, ref_rng = np.random.default_rng(tree_seed), np.random.default_rng(tree_seed)
-    got = grow_tree(bds, grads, rows, feats, params, lib_rng, gain_form=gain_form)
-    want = reference_tree.grow_tree(bds, grads, rows, feats, params, ref_rng,
-                                    gain_form=gain_form)
+    got = grow_tree(bds, grads, rows, feats, params, lib_rng)
+    want = reference_tree.grow_tree(bds, grads, rows, feats, params, ref_rng)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert lib_rng.random() == ref_rng.random()
 
@@ -558,18 +559,17 @@ def test_grow_trees_in_lockstep_match_frozen_reference(seed):
     rng = np.random.default_rng(seed)
     objective = str(rng.choice(OBJECTIVES))
     params = _random_params(rng, objective)
-    gain_form = str(rng.choice(["hessian", "variance"]))
     jobs, tree_seeds = [], []
     for _ in range(int(rng.integers(1, 7))):
         tree_seeds.append(int(rng.integers(2**32)))
         jobs.append(GrowJob(*_random_grow_input(rng, objective),
-                            rng=np.random.default_rng(tree_seeds[-1])))
-    got = grow_trees(jobs, params, gain_form=gain_form)
+                            rng=np.random.default_rng(tree_seeds[-1]), params=params))
+    got = grow_trees(jobs)
     assert len(got) == len(jobs)
     for job, tree, tree_seed in zip(jobs, got, tree_seeds):
         ref_rng = np.random.default_rng(tree_seed)
         want = reference_tree.grow_tree(job.bds, job.grads, job.row_set, job.feature_subset,
-                                        params, ref_rng, gain_form=gain_form)
+                                        params, ref_rng)
         assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
         assert job.rng.random() == ref_rng.random()
 
@@ -579,12 +579,10 @@ def test_grow_trees_in_lockstep_match_frozen_reference(seed):
 @settings(max_examples=400, deadline=None)
 def test_mixed_greedy_and_extra_trees_batch_matches_frozen_reference(seed):
     # greedy and extra-trees jobs share every scan of one batch; each tree
-    # equals the reference grown alone in its own mode, draws included, and
-    # the greedy trees keep the batch's gain form
+    # equals the reference grown alone in its own mode, draws included
     rng = np.random.default_rng(seed)
     objective = str(rng.choice(OBJECTIVES))
     params = _random_params(rng, objective)
-    gain_form = str(rng.choice(["hessian", "variance"]))
     n_jobs = int(rng.integers(2, 7))
     modes = [True, False] + [bool(rng.integers(2)) for _ in range(n_jobs - 2)]
     rng.shuffle(modes)
@@ -594,12 +592,12 @@ def test_mixed_greedy_and_extra_trees_batch_matches_frozen_reference(seed):
         jobs.append(GrowJob(*_random_grow_input(rng, objective),
                             rng=np.random.default_rng(tree_seeds[-1]),
                             params=dataclasses.replace(params, extra_trees=extra)))
-    got = grow_trees(jobs, params, gain_form=gain_form)
+    got = grow_trees(jobs)
     assert len(got) == len(jobs)
     for job, tree, tree_seed in zip(jobs, got, tree_seeds):
         ref_rng = np.random.default_rng(tree_seed)
         want = reference_tree.grow_tree(job.bds, job.grads, job.row_set, job.feature_subset,
-                                        job.params, ref_rng, gain_form=gain_form)
+                                        job.params, ref_rng)
         assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
         assert job.rng.random() == ref_rng.random()
 
@@ -611,32 +609,21 @@ def test_mixed_greedy_and_extra_trees_batch_matches_frozen_reference(seed):
 def test_batch_of_jobs_with_their_own_params_matches_frozen_reference(seed):
     # jobs differing in every parameter the grower reads share every scan of
     # one batch; each tree equals the reference grown alone under its own
-    # parameters, draws included; a job without params takes the batch's
+    # parameters, draws included
     rng = np.random.default_rng(seed)
-    batch_params = _random_params(rng, str(rng.choice(OBJECTIVES)))
-    gain_form = str(rng.choice(["hessian", "variance"]))
-    jobs, tree_seeds, own = [], [], []
+    jobs, tree_seeds = [], []
     for _ in range(int(rng.integers(2, 7))):
         objective = str(rng.choice(OBJECTIVES))
-        params = None if rng.random() < 0.2 else _random_params(rng, objective)
-        own.append(batch_params if params is None else params)
+        params = _random_params(rng, objective)
         tree_seeds.append(int(rng.integers(2**32)))
         jobs.append(GrowJob(*_random_grow_input(rng, objective),
                             rng=np.random.default_rng(tree_seeds[-1]), params=params))
-    got = grow_trees(jobs, batch_params, gain_form=gain_form)
+    got = grow_trees(jobs)
     assert len(got) == len(jobs)
-    for job, tree, tree_seed, params in zip(jobs, got, tree_seeds, own):
+    for job, tree, tree_seed in zip(jobs, got, tree_seeds):
         ref_rng = np.random.default_rng(tree_seed)
         want = reference_tree.grow_tree(job.bds, job.grads, job.row_set, job.feature_subset,
-                                        params, ref_rng, gain_form=gain_form)
+                                        job.params, ref_rng)
         assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
         assert job.rng.random() == ref_rng.random()
 
-
-def test_grow_job_without_params_needs_batch_params():
-    bds = _binned_from_bins([np.array([0, 1, 0, 1])], kinds=["numeric"], n_real=[2])
-    job = GrowJob(bds, _grads(np.array([1.0, -1.0, 1.0, -1.0]), np.ones(4)), _node(4), [0],
-                  np.random.default_rng(0))
-    with pytest.raises(ValidationError, match="params"):
-        grow_trees([job])
-    assert grow_trees([job._replace(params=Params(min_data_in_leaf=1))])[0].num_leaves_used == 2
