@@ -17,9 +17,10 @@ of the comparison, and the script exits 1 after the last pair.
 For each metric it prints both sides' median and quartiles over the pairs
 whose runs are both correct, the number of those pairs in which the change
 was better (the direction comes from PARENT's ``BENCHMARK.json``), and
-whether the medians differ by more than the parent's interquartile range. ``--counts`` also counts, in one round of the
-workload at the first seed, the split scans (``tree._best_splits`` calls)
-and ``grow_trees`` calls of each side. ``--out FILE`` writes all of it, and
+whether the medians differ by more than the parent's interquartile range.
+``--counts`` also counts, in one round of the workload at the first seed,
+each side's split scans (``tree._best_splits`` calls), ``grow_trees`` calls
+and ``compute_gradients`` calls. ``--out FILE`` writes all of it, and
 every run's result, as JSON.
 """
 
@@ -33,21 +34,23 @@ import subprocess
 import sys
 import tempfile
 
-# One round of a workload with the split scan and the batch grower counted.
-# Runs inside the checkout: argv is (workload, seed, scratch directory).
+# One round of a workload with the split scan, the batch grower and the
+# gradient pass counted. Runs inside the checkout: argv is (workload, seed,
+# scratch directory).
 COUNT_CALLS = r"""
+import importlib
 import sys
 sys.path[:0] = ["src", "."]
 from bench.workloads import WORKLOADS
-import fewboost.tree
 
 wl = WORKLOADS[sys.argv[1]](int(sys.argv[2]), sys.argv[3])
 wl.SETUP_LOADS = 1
 wl.setup()
 wl.ready()
 counts = {}
-for name in ("_best_splits", "grow_trees"):
-    original = getattr(fewboost.tree, name, None)
+for module, name in (("fewboost.tree", "_best_splits"), ("fewboost.tree", "grow_trees"),
+                     ("fewboost.booster", "compute_gradients")):
+    original = getattr(importlib.import_module(module), name, None)
     if original is None:
         counts[name] = None
         continue
@@ -165,7 +168,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--counts", action="store_true",
-                    help="also count split scans and grow_trees calls at the first seed")
+                    help="also count split scans, grow_trees and compute_gradients calls "
+                         "at the first seed")
     ap.add_argument("--out", default=None, help="write the summary and every run as JSON")
     args = ap.parse_args(argv)
 

@@ -7,7 +7,10 @@ trains a batch of models in lockstep, each under its own parameters: each
 boosting round grows the tree of every model still short of its
 ``n_rounds`` in one :func:`~fewboost.tree.grow_trees` call, whose growth
 steps each make one split scan for all of them, whatever their presets.
-:func:`train` is a batch of one.
+The training scores of all models of one objective live in one buffer, each
+model's a slice of it, so each round computes every model's gradients with
+one :func:`compute_gradients` call per objective. :func:`train` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BinnedDataset, FeatureBins, bin_matrix
+from .dataset import BinnedDataset, FeatureBins, bin_matrix, read_json
 from .errors import ValidationError
 from .params import Params
 from .tree import GrowJob, Tree, grow_trees
@@ -121,6 +124,12 @@ class Model:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Model":
+        """Decode a model bundle document.
+
+        A split on a feature outside the bundle's feature list, or a
+        non-finite leaf value, base score or bin edge, raises
+        :class:`ValidationError`.
+        """
         if d.get("format") != "fewboost-model":
             raise ValidationError("not a fewboost model document")
         if d.get("version") != 1:
@@ -132,9 +141,28 @@ class Model:
                 edges=np.asarray(f["edges"], dtype=np.float64) if "edges" in f else None,
                 categories=tuple(f["categories"]) if "categories" in f else None,
             ))
+        edges = [fb.edges for fb in mapper if fb.edges is not None]
+        if edges and not np.isfinite(np.concatenate(edges)).all():
+            name = next(fb.name for fb in mapper
+                        if fb.edges is not None and not np.isfinite(fb.edges).all())
+            raise ValidationError(f"feature {name!r}: bin edges must be finite numbers")
+        base_score = float(d["base_score"])
+        if not math.isfinite(base_score):
+            raise ValidationError(f"base_score must be a finite number, got {base_score!r}")
+        trees = [Tree.from_dict(t) for t in d["trees"]]
+        n_features = len(mapper)
+        for i, tree in enumerate(trees):
+            for node in tree.nodes:
+                if node.left < 0:
+                    if not math.isfinite(node.value):
+                        raise ValidationError(f"tree {i}: leaf value must be a finite number, "
+                                              f"got {node.value!r}")
+                elif not 0 <= node.feature < n_features:
+                    raise ValidationError(f"tree {i}: split feature {node.feature} is not one "
+                                          f"of the model's {n_features} features")
         return cls(
-            trees=[Tree.from_dict(t) for t in d["trees"]],
-            base_score=float(d["base_score"]),
+            trees=trees,
+            base_score=base_score,
             objective=str(d["objective"]),
             params=Params.from_dict(d["params"]),
             mapper=mapper,
@@ -154,23 +182,28 @@ def check_trainable(bds: BinnedDataset, params: Params) -> None:
 
 
 class _Boosting:
-    """One model's state between boosting rounds: generator, scores and trees."""
+    """One model's state between boosting rounds: generator, scores, gradients and trees.
 
-    def __init__(self, bds: BinnedDataset, params: Params):
+    ``scores`` is the model's slice of its objective's :class:`_ScoreBuffer`,
+    and ``grads`` its slice of that buffer's latest gradients.
+    """
+
+    def __init__(self, bds: BinnedDataset, params: Params, scores: np.ndarray):
         self.bds, self.params = bds, params
         self.rng = np.random.default_rng(params.seed)
         self.base = _initial_score(params.objective, bds.target)
-        self.scores = np.full(bds.n_rows, self.base, dtype=np.float64)
+        self.scores = scores
+        self.scores.fill(self.base)
+        self.grads: GradientPairs | None = None
         self.all_rows = np.arange(bds.n_rows, dtype=np.intp)
         self.all_feats = np.arange(bds.n_features, dtype=np.intp)
         self.bag = self.all_rows
         self.trees: list[Tree] = []
 
     def next_job(self, it: int) -> GrowJob:
-        """Round ``it``'s gradients, bag and feature sample, drawn in that order."""
+        """Round ``it``'s bag and feature sample, drawn in that order, with its gradients."""
         bds, params, rng = self.bds, self.params, self.rng
         n = bds.n_rows
-        grads = compute_gradients(params.objective, bds.target, self.scores)
         if params.bagging_freq > 0 and params.bagging_fraction < 1.0:
             if it % params.bagging_freq == 0:
                 size = max(1, math.floor(params.bagging_fraction * n + 1e-9))
@@ -183,7 +216,7 @@ class _Boosting:
             feats = np.sort(rng.choice(bds.n_features, size=size, replace=False))
         else:
             feats = self.all_feats
-        return GrowJob(bds, grads, rows, feats, rng, params)
+        return GrowJob(bds, self.grads, rows, feats, rng, params)
 
     def add(self, tree: Tree) -> None:
         self.scores += self.params.eta * tree.predict_bins(self.bds.bins)
@@ -192,6 +225,36 @@ class _Boosting:
     def model(self) -> Model:
         return Model(trees=self.trees, base_score=self.base, objective=self.params.objective,
                      params=self.params, mapper=list(self.bds.mapper))
+
+
+class _ScoreBuffer:
+    """The training targets and scores of every model of one objective, one buffer each.
+
+    The models are laid out by descending ``n_rounds``, so those still
+    training in any round are a prefix of the buffer, and one
+    :func:`compute_gradients` call over that prefix gives each of them its
+    round's gradients. The loss derivatives are elementwise, so each model's
+    slice equals a call over its rows alone.
+    """
+
+    def __init__(self, objective: str, pairs: Sequence[tuple[BinnedDataset, Params]]):
+        self.objective = objective
+        ends = np.cumsum([bds.n_rows for bds, _ in pairs]).tolist()
+        self.spans = list(zip([0] + ends[:-1], ends))
+        self.targets = np.concatenate([bds.target for bds, _ in pairs])
+        self.scores = np.empty(ends[-1], dtype=np.float64)
+        self.runs = [_Boosting(bds, params, self.scores[lo:hi])
+                     for (bds, params), (lo, hi) in zip(pairs, self.spans)]
+
+    def gradients(self, it: int) -> None:
+        """Set the gradients of every model that grows a tree in round ``it``."""
+        active = sum(it < run.params.n_rounds for run in self.runs)
+        if active == 0:
+            return
+        end = self.spans[active - 1][1]
+        grads = compute_gradients(self.objective, self.targets[:end], self.scores[:end])
+        for run, (lo, hi) in zip(self.runs[:active], self.spans):
+            run.grads = GradientPairs(grad=grads.grad[lo:hi], hess=grads.hess[lo:hi])
 
 
 def train_many(datasets: Sequence[BinnedDataset], params_list: Sequence[Params]) -> list[Model]:
@@ -203,15 +266,26 @@ def train_many(datasets: Sequence[BinnedDataset], params_list: Sequence[Params])
     through :func:`~fewboost.tree.grow_trees`, each under its own model's
     parameters; a model leaves the batch once its ``n_rounds`` trees are
     grown. So every model equals the one :func:`train` returns for its pair
-    alone. Every dataset is checked by :func:`check_trainable` before any
+    alone. The models of one objective keep their scores in one buffer, and
+    each round computes their gradients in one :func:`compute_gradients`
+    call. Every dataset is checked by :func:`check_trainable` before any
     training starts.
     """
     if len(datasets) != len(params_list):
         raise ValidationError("train_many needs one Params per dataset")
     for bds, params in zip(datasets, params_list):
         check_trainable(bds, params)
-    runs = [_Boosting(bds, params) for bds, params in zip(datasets, params_list)]
+    by_objective: dict[str, list[int]] = {}
+    for i in sorted(range(len(datasets)), key=lambda i: -params_list[i].n_rounds):
+        by_objective.setdefault(params_list[i].objective, []).append(i)
+    buffers = [_ScoreBuffer(objective, [(datasets[i], params_list[i]) for i in members])
+               for objective, members in by_objective.items()]
+    run_of = {i: run for members, buffer in zip(by_objective.values(), buffers)
+              for i, run in zip(members, buffer.runs)}
+    runs = [run_of[i] for i in range(len(datasets))]
     for it in range(max((p.n_rounds for p in params_list), default=0)):
+        for buffer in buffers:
+            buffer.gradients(it)
         active = [run for run in runs if it < run.params.n_rounds]
         for run, tree in zip(active, grow_trees([run.next_job(it) for run in active])):
             run.add(tree)
@@ -259,7 +333,4 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path, doc: dict | None = None) -> Model:
     """Decode the model bundle at ``path``; ``doc`` is its already-parsed JSON, if at hand."""
-    if doc is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    return Model.from_dict(doc)
+    return Model.from_dict(read_json(path) if doc is None else doc)

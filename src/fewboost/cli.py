@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .booster import Model, load_model, predict, save_model, train
-from .dataset import bin_features, encode_csv, load_csv, load_schema, open_csv
+from .dataset import bin_features, encode_csv, load_csv, load_schema, open_csv, read_json
 from .errors import FewboostError, ValidationError
 from .fsl import default_preset, fsl_preset, run_benchmark
 from .params import Params
@@ -45,9 +45,7 @@ def _resolve_params(args) -> Params:
     else:
         raise ValidationError(f"unknown preset {args.preset!r}")
     if args.params:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-        base = Params.from_dict(overrides, base=base)
+        base = Params.from_dict(read_json(args.params), base=base)
     return base
 
 
@@ -109,8 +107,7 @@ def cmd_train(args) -> int:
 
 def _load_bundle(path: str):
     """The model or pipeline in a bundle file, which is parsed once."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     fmt = doc.get("format") if isinstance(doc, dict) else None
     load = {"fewboost-model": load_model, "fewboost-pipeline": load_pipeline}.get(fmt)
     if load is None:
@@ -263,7 +260,7 @@ def main(argv=None) -> int:
     except FewboostError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

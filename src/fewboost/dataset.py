@@ -32,6 +32,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -95,10 +96,24 @@ class Dataset:
         )
 
 
+def read_json(path):
+    """The parsed content of the UTF-8 JSON file ``path``.
+
+    A file that is not UTF-8 text or not JSON raises :class:`ParseError`
+    naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not JSON ({exc})") from None
+
+
 def load_schema(path) -> dict[str, str]:
     """Read a JSON schema file: ``{column_name: kind}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError("schema must be a JSON object mapping column names to kinds")
     schema: dict[str, str] = {}
@@ -405,6 +420,17 @@ class BinnedDataset:
     @property
     def kinds(self) -> list[str]:
         return [fb.kind for fb in self.mapper]
+
+    @cached_property
+    def scan_fields(self) -> np.ndarray:
+        """Each feature's missing-value bin and categorical flag: a (2, n_features) array.
+
+        The split scan reads these per sampled feature; they are computed on
+        first use and kept for the dataset's lifetime.
+        """
+        return np.array([[fb.missing_bin for fb in self.mapper],
+                         [fb.kind == CATEGORICAL for fb in self.mapper]],
+                        dtype=np.intp).reshape(2, len(self.mapper))
 
 
 def _numeric_bin_groups(counts: np.ndarray, max_bin: int, min_data_in_bin: int) -> list[int]:

@@ -6,7 +6,7 @@ class FewboostError(Exception):
 
 
 class ParseError(FewboostError):
-    """Malformed CSV content; the message carries row/column context."""
+    """Malformed CSV or JSON content; the message names the file and, for a CSV, the row."""
 
 
 class SchemaError(FewboostError):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .blend import LinearBlender, fit_blender
 from .booster import Model, check_trainable, predict, train_many
-from .dataset import CATEGORICAL, Dataset, FeatureBins, bin_features
+from .dataset import CATEGORICAL, Dataset, FeatureBins, bin_features, read_json
 from .errors import ValidationError
 from .fsl import fsl_preset
 from .mlp import MLP
@@ -320,10 +320,7 @@ def save_pipeline(pipeline: StackingPipeline, path) -> None:
 
 def load_pipeline(path, doc: dict | None = None) -> StackingPipeline:
     """Decode the pipeline bundle at ``path``; ``doc`` is its already-parsed JSON, if at hand."""
-    if doc is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    return StackingPipeline.from_dict(doc)
+    return StackingPipeline.from_dict(read_json(path) if doc is None else doc)
 
 
 def make_default_zoo(ds: Dataset, k_per_model: int, seed: int = 0,

@@ -9,22 +9,28 @@ so a tree does not depend on which other trees share its steps. Each job
 may carry its own :class:`~fewboost.params.Params`: the scan gate, the leaf
 budget, greedy or extra-trees selection, the leaf floor and the categorical
 knobs are that tree's own, so trees of different presets share one batch and
-every scan of it. :func:`grow_tree` is a batch of one.
+every scan of it. :func:`grow_tree` is a batch of one. A greedy tree whose
+split reaches its leaf budget sends the two children to no scan, since it
+never splits again and its scans draw nothing; an extra-trees tree's
+children are still scanned, because their draws advance its generator.
 
-Each scanned node builds its gradient, hessian and row-count histograms with
-one ``bincount`` each over feature-offset bin ids, laid out as a (3,
-features, bins) block. The scan stacks these blocks into one ragged (3,
-rows, width) block of (node, feature) rows, padded to the widest feature of
-the batch; column ``missing_bin`` of a row holds its missing-value rows, and
-padded columns are never admissible. One fused pass scores every numeric
-boundary (a ``cumsum`` along the row) and every one-vs-other categorical
-split (the bin itself, for categorical features with at most their node's
-``max_cat_to_onehot`` present categories) against each row's own leaf
-floor, in one buffer that holds every candidate with the missing rows sent
-right and, for the rows that hold missing rows, sent left as well. With
-more categories, the categories are ordered by their smoothed
-gradient/hessian ratio and each prefix of that order is a candidate left
-set. Selection is vectorised too, by a per-row mode: a greedy tree's rows
+A tree's set-up reads its sampled features' scan fields (missing-value bin
+and categorical flag) with one index into
+:attr:`~fewboost.dataset.BinnedDataset.scan_fields`, which each dataset
+computes once. Each growth step preallocates one ragged (3, rows, width)
+block of (node, feature) rows, padded to the widest feature of the batch,
+and each scanned node writes its gradient, hessian and row-count histograms
+straight into its rows of it, one ``bincount`` per statistic over
+feature-offset bin ids of the node's own rows. Column ``missing_bin`` of a
+row holds its missing-value rows, and padded columns are never admissible.
+One fused pass scores every numeric boundary (a ``cumsum`` along the row)
+and every one-vs-other categorical split (the bin itself, for categorical
+features with at most their node's ``max_cat_to_onehot`` present
+categories) against each row's own leaf floor, in one buffer that holds
+every candidate with the missing rows sent right and, for the rows that hold
+missing rows, sent left as well. With more categories, the categories are
+ordered by their smoothed gradient/hessian ratio and each prefix of that
+order is a candidate left set. Selection is vectorised too, by a per-row mode: a greedy tree's rows
 take their first best candidate with one ``argmax``; an extra-trees tree's
 rows count their admissible boundaries, and all of that tree's rows of one
 step draw with a single ``rng.integers(0, sizes)``, which yields the same
@@ -161,28 +167,31 @@ def _gains(sides, parent, min_leaf):
 # histogram construction
 
 
-def _histograms(offset_bins: np.ndarray, grad: np.ndarray, hess: np.ndarray, size: int):
-    """Gradient, hessian and row-count sums per flat bin id.
+def _histograms(offset_bins: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                out: np.ndarray) -> None:
+    """Write the gradient, hessian and row-count sums per flat bin id into ``out``.
 
     ``offset_bins`` is a (rows x features) array of bin ids already offset
-    into one flat block per feature; each statistic is one ``bincount``.
-    Every bin accumulates its rows in row order, exactly as a per-feature
-    ``bincount`` would, so the sums are bit-identical to it.
+    into one flat block per feature, and ``out`` a (3, bins) float array,
+    one row per statistic; each statistic is one ``bincount``. Every bin
+    accumulates its rows in row order, exactly as a per-feature ``bincount``
+    would, so the sums are bit-identical to it.
     """
     flat = offset_bins.ravel()
     n_features = offset_bins.shape[1]
-    return (np.bincount(flat, weights=grad.repeat(n_features), minlength=size),
-            np.bincount(flat, weights=hess.repeat(n_features), minlength=size),
-            np.bincount(flat, minlength=size))
+    size = out.shape[1]
+    out[0] = np.bincount(flat, weights=grad.repeat(n_features), minlength=size)
+    out[1] = np.bincount(flat, weights=hess.repeat(n_features), minlength=size)
+    out[2] = np.bincount(flat, minlength=size)
 
 
-# Kept public because bench/tracing.py wraps it by name; growth builds histograms in _Grower.
+# Kept public because bench/tracing.py wraps it by name; growth builds histograms in _scan.
 def build_histogram(bds: BinnedDataset, feature: int, node: NodeStats, grads) -> FeatureHistogram:
     """Accumulate grad/hess/count per bin over the node's rows."""
     fb = bds.mapper[feature]
     rows = node.row_set
-    sum_grad, sum_hess, count = _histograms(bds.bins[rows, feature][:, None],
-                                            grads.grad[rows], grads.hess[rows], fb.n_bins)
+    sum_grad, sum_hess, count = block = np.empty((3, fb.n_bins))
+    _histograms(bds.bins[rows, feature][:, None], grads.grad[rows], grads.hess[rows], block)
     return FeatureHistogram(
         feature=feature, sum_grad=sum_grad, sum_hess=sum_hess,
         count=count.astype(np.int64), missing_bin=fb.missing_bin,
@@ -585,41 +594,35 @@ class GrowJob(NamedTuple):
 
 
 class _Grower:
-    """One tree's growth state: its frontier of scanned leaves and its offset bins."""
+    """One tree's growth state: its frontier of scanned leaves and its scan fields."""
 
     def __init__(self, job: GrowJob):
         row_set = np.asarray(job.row_set, dtype=np.intp)
         if row_set.size == 0:
             raise ValidationError("grow_tree requires a non-empty row set")
         self.bds, self.grads, self.rng, self.params = job.bds, job.grads, job.rng, job.params
-        features = sorted(int(f) for f in job.feature_subset)
-        fbs = [self.bds.mapper[f] for f in features]
-        p = self.params
+        features = np.sort(np.asarray(job.feature_subset, dtype=np.intp))
         # the scan's per-feature row fields, as _best_splits reads them
-        self.meta = np.array([features, [fb.missing_bin for fb in fbs],
-                              [fb.kind == CATEGORICAL for fb in fbs],
-                              [p.min_data_in_leaf] * len(fbs), [p.max_cat_to_onehot] * len(fbs)],
-                             dtype=np.intp).reshape(5, len(fbs))
-        self.features = self.meta[0]
-        self.width = int(self.meta[1].max()) + 1 if features else 0
-        self.offset_bins: np.ndarray | None = None  # built at the first scanned node
+        self.meta = np.empty((5, features.size), dtype=np.intp)
+        self.meta[0] = self.features = features
+        self.meta[1:3] = self.bds.scan_fields[:, features]
+        self.meta[3] = self.params.min_data_in_leaf
+        self.meta[4] = self.params.max_cat_to_onehot
+        self.width = int(self.meta[1].max()) + 1 if features.size else 0
+        self.offset_bins: np.ndarray | None = None  # built at the tree's first scanned node
         self.root = NodeStats.from_rows(row_set, self.grads)
         self.tree = Tree(nodes=[TreeNode(value=_leaf_value(self.root), count=self.root.n)],
                          num_leaves_used=1)
         self.frontier: list[tuple[float, int, SplitCandidate, NodeStats]] = []
 
-    def histograms(self, stats: NodeStats, width: int) -> np.ndarray:
-        """The node's (3, features, width) gradient, hessian and row-count histograms."""
-        n_features = self.features.size
-        if self.offset_bins is None:
-            self.offset_bins = self.bds.bins[:, self.features] + np.arange(n_features) * width
-        rows = stats.row_set
-        block = _histograms(self.offset_bins[rows], self.grads.grad[rows],
-                            self.grads.hess[rows], n_features * width)
-        return np.array(block, dtype=np.float64).reshape(3, n_features, width)
-
     def split(self) -> list[tuple["_Grower", int, NodeStats]]:
-        """Split the best frontier leaf; return both children, left first."""
+        """Split the best frontier leaf; return the children to scan, left first.
+
+        A greedy tree that this split brings to its leaf budget returns none:
+        it never splits again, and its scans draw nothing. An extra-trees
+        tree's children are scanned even then, since their draws advance the
+        generator that the model's next round draws its bag from.
+        """
         _, nid, cand, stats = heapq.heappop(self.frontier)
         fb = self.bds.bins[stats.row_set, cand.feature]
         missing_bin = self.bds.mapper[cand.feature].missing_bin
@@ -645,6 +648,8 @@ class _Grower:
         node.right = len(nodes)
         nodes.append(TreeNode(value=_leaf_value(right_stats), count=right_stats.n))
         self.tree.num_leaves_used += 1
+        if self.tree.num_leaves_used >= self.params.num_leaves and not self.params.extra_trees:
+            return []
         return [(self, node.left, left_stats), (self, node.right, right_stats)]
 
 
@@ -652,15 +657,12 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]],
           width: int) -> list[SplitCandidate | None]:
     """One split scan over every pending node; each tree's nodes are adjacent."""
     out: list[SplitCandidate | None] = [None] * len(pending)
-    scanned, growers, hists, totals, starts, draws = [], [], [], [], [0], []
+    scanned, starts, draws = [], [0], []
     for i, (grower, _, stats) in enumerate(pending):
         # no boundary can leave min_data_in_leaf rows on both sides
         if stats.n < 2 * grower.params.min_data_in_leaf or grower.features.size == 0:
             continue
         scanned.append(i)
-        growers.append(grower)
-        hists.append(grower.histograms(stats, width))
-        totals.append((stats.sum_grad, stats.sum_hess, stats.n))
         lo, hi = starts[-1], starts[-1] + grower.features.size
         starts.append(hi)
         if grower.params.extra_trees:
@@ -670,9 +672,23 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]],
                 draws.append((grower.rng, lo, hi))
     if not scanned:
         return out
-    cands = _best_splits(np.concatenate([g.meta for g in growers], axis=1),
-                         np.concatenate(hists, axis=1), np.array(totals).T, starts,
-                         [g.params for g in growers], draws)
+    # each scanned node's rows of the step's meta, totals and (3, rows, width) histogram block
+    meta = np.empty((5, starts[-1]), dtype=np.intp)
+    totals = np.empty((3, len(scanned)))
+    hist = np.empty((3, starts[-1] * width))
+    for j, i in enumerate(scanned):
+        grower, _, stats = pending[i]
+        lo, hi = starts[j], starts[j + 1]
+        meta[:, lo:hi] = grower.meta
+        totals[:, j] = stats.sum_grad, stats.sum_hess, stats.n
+        if grower.offset_bins is None:
+            grower.offset_bins = (grower.bds.bins[:, grower.features]
+                                  + np.arange(hi - lo) * width)
+        rows = stats.row_set
+        _histograms(grower.offset_bins[rows], grower.grads.grad[rows], grower.grads.hess[rows],
+                    hist[:, lo * width:hi * width])
+    cands = _best_splits(meta, hist.reshape(3, starts[-1], width), totals, starts,
+                         [pending[i][0].params for i in scanned], draws)
     for i, cand in zip(scanned, cands):
         out[i] = cand
     return out

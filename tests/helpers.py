@@ -2,9 +2,13 @@
 
 Everything here is deliberately naive (pairwise loops, exhaustive scans,
 finite differences) and shares no code with the library paths it checks.
+:func:`corrupt_bundle` makes the malformed model bundles that loading must
+reject.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -116,3 +120,26 @@ def max_relative_error(analytic, numeric) -> float:
         denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
         worst = max(worst, float(np.max(np.abs(a - b) / denom)))
     return worst
+
+
+def corrupt_bundle(doc: dict, fault: str) -> dict:
+    """A copy of a trained model bundle with one fault.
+
+    ``fault`` is ``feature`` (the first split reads feature 99), ``leaf`` (a
+    NaN leaf), ``base_score`` (an infinite base score) or ``edges`` (a NaN
+    bin edge).
+    """
+    doc = json.loads(json.dumps(doc))
+    split = next(t["root"] for t in doc["trees"] if "feature" in t["root"])
+    if fault == "feature":
+        split["feature"] = 99
+    elif fault == "leaf":
+        leaf = split["left"]
+        while "leaf" not in leaf:
+            leaf = leaf["left"]
+        leaf["leaf"] = float("nan")
+    elif fault == "base_score":
+        doc["base_score"] = float("inf")
+    else:
+        next(f for f in doc["features"] if "edges" in f)["edges"][0] = float("nan")
+    return doc

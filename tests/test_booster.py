@@ -13,7 +13,7 @@ from fewboost.fsl import default_preset, fsl_preset, sample_k_shot
 from fewboost.params import Params
 from fewboost.synth import make_synthetic_binary
 
-from helpers import logloss
+from helpers import corrupt_bundle, logloss
 
 
 def _numeric_ds(values, target):
@@ -251,6 +251,24 @@ def test_model_rejects_foreign_document(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("feature", "split feature 99 is not one of the model's 6 features"),
+    ("leaf", "leaf value must be a finite number, got nan"),
+    ("base_score", "base_score must be a finite number, got inf"),
+    ("edges", "bin edges must be finite numbers"),
+])
+def test_load_model_rejects_an_out_of_range_feature_or_a_non_finite_number(tmp_path, fault,
+                                                                           message):
+    ds = make_synthetic_binary(n_rows=80, seed=6)
+    params = dataclasses.replace(fsl_preset(), n_rounds=5, seed=3)
+    model = train(bin_features(ds, params.max_bin, params.min_data_in_bin), params)
+    assert model.n_features == 6
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(corrupt_bundle(model.to_dict(), fault)), encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        load_model(path)
+
+
 @pytest.mark.parametrize("preset", [default_preset, fsl_preset])
 def test_train_many_equals_training_each_model_alone(preset):
     # one lockstep batch over differently sized and binned data, one seed each
@@ -317,6 +335,33 @@ def test_train_many_mixes_presets_and_round_counts():
     for bds, params, model in zip(datasets, params_list, batch):
         assert model.params == params
         assert len(model.trees) == params.n_rounds
+        assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
+
+
+def test_train_many_mixes_objectives_and_round_counts():
+    # binary-logloss, mse and mae models, interleaved, each with its own
+    # n_rounds: the per-objective gradient buffers give each model the
+    # gradients it would compute alone
+    from fewboost.synth import make_synthetic_stock
+
+    binary = _mixed_binary(300, seed=6)
+    stock = make_synthetic_stock(n_rows=300, seed=6)
+    datasets, params_list = [], []
+    for i, (objective, preset, k, rounds) in enumerate((
+            ("mse", fsl_preset, 40, 9), ("binary-logloss", fsl_preset, 16, 12),
+            ("mae", default_preset, 150, 4), ("mse", default_preset, 64, 14),
+            ("binary-logloss", default_preset, 150, 6), ("mae", fsl_preset, 24, 11),
+            ("mse", fsl_preset, 30, 0), ("binary-logloss", fsl_preset, 64, 12))):
+        params = dataclasses.replace(preset(), objective=objective, n_rounds=rounds, seed=40 + i)
+        if objective == "binary-logloss":
+            ds, rows = binary, sample_k_shot(binary, k, seed=i).indices
+        else:
+            ds, rows = stock, np.arange(i, i + k)
+        datasets.append(bin_features(ds.take(rows), params.max_bin, params.min_data_in_bin))
+        params_list.append(params)
+    batch = train_many(datasets, params_list)
+    for bds, params, model in zip(datasets, params_list, batch):
+        assert model.objective == params.objective and len(model.trees) == params.n_rounds
         assert json.dumps(model.to_dict()) == json.dumps(train(bds, params).to_dict())
 
 

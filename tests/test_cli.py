@@ -11,6 +11,8 @@ from fewboost.cli import main
 from fewboost.dataset import schema_for, write_csv
 from fewboost.synth import make_synthetic_binary, make_synthetic_stock
 
+from helpers import corrupt_bundle
+
 
 @pytest.fixture()
 def binary_csv(tmp_path):
@@ -406,3 +408,52 @@ def test_a_malformed_csv_fails_with_one_error_line_and_no_output(tmp_path, binar
     assert main([command, "--data", str(bad), *args]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
     assert not out.exists() and not (tmp_path / "out.txt").exists()
+
+
+# --- JSON and bundle faults end in one error line ------------------------------
+
+
+@pytest.mark.parametrize("command", ["train --schema", "train --params", "predict --model"])
+def test_a_json_file_that_is_not_utf8_fails_with_one_error_line_and_no_output(
+        tmp_path, binary_csv, capsys, command):
+    data, schema = binary_csv
+    out = tmp_path / "out.json"
+    bad = tmp_path / "bad.json"
+    if command == "train --schema":
+        good = schema
+        args = ["train", "--data", str(data), "--schema", str(bad)]
+    elif command == "train --params":
+        good = tmp_path / "params.json"
+        good.write_text(json.dumps({"n_rounds": 3}), encoding="utf-8")
+        args = ["train", "--data", str(data), "--schema", str(schema), "--preset", "file",
+                "--params", str(bad)]
+    else:
+        good = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--schema", str(schema),
+                     "--out", str(good)]) == 0
+        args = ["predict", "--data", str(data), "--model", str(bad)]
+    bad.write_bytes(b"\xff\xfe" + good.read_bytes())
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("feature", "tree 0: split feature 99 is not one of the model's 6 features"),
+    ("leaf", "leaf value must be a finite number, got nan"),
+])
+def test_predict_with_a_malformed_bundle_fails_with_one_error_line_and_no_output(
+        tmp_path, binary_csv, capsys, fault, message):
+    data, schema = binary_csv
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--schema", str(schema), "--preset", "fsl",
+                 "--out", str(model)]) == 0
+    doc = corrupt_bundle(json.loads(model.read_text(encoding="utf-8")), fault)
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "scores.csv"
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
