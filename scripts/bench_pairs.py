@@ -19,9 +19,11 @@ whose runs are both correct, the number of those pairs in which the change
 was better (the direction comes from PARENT's ``BENCHMARK.json``), and
 whether the medians differ by more than the parent's interquartile range.
 ``--counts`` also counts, in one round of the workload at the first seed,
-each side's split scans (``tree._best_splits`` calls), ``grow_trees`` calls
-and ``compute_gradients`` calls. ``--out FILE`` writes all of it, and
-every run's result, as JSON.
+each side's split scans (``tree._best_splits`` calls), ``grow_trees`` calls,
+``compute_gradients`` calls, ``Tree.predict_bins`` calls and the rows they
+route (``bins.shape[0]`` summed over the calls, as the traced
+``tree.routed_rows``). ``--out FILE`` writes all of it, and every run's
+result, as JSON.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import subprocess
 import sys
 import tempfile
 
-# One round of a workload with the split scan, the batch grower and the
-# gradient pass counted. Runs inside the checkout: argv is (workload, seed,
-# scratch directory).
+# One round of a workload with the split scan, the batch grower, the
+# gradient pass and tree routing counted. Runs inside the checkout: argv is
+# (workload, seed, scratch directory).
 COUNT_CALLS = r"""
 import importlib
 import sys
@@ -64,6 +66,20 @@ for module, name in (("fewboost.tree", "_best_splits"), ("fewboost.tree", "grow_
         for key, value in list(vars(module).items()):
             if value is original:
                 setattr(module, key, counted)
+# Tree.predict_bins is a method: count its calls and routed rows (len(bins)) on the class
+tree_cls = getattr(importlib.import_module("fewboost.tree"), "Tree", None)
+predict_bins = getattr(tree_cls, "predict_bins", None)
+if predict_bins is None:
+    counts["predict_bins"] = counts["routed_rows"] = None
+else:
+    counts["predict_bins"] = counts["routed_rows"] = 0
+
+    def counted_predict_bins(self, bins, *args, **kwargs):
+        counts["predict_bins"] += 1
+        counts["routed_rows"] += len(bins)
+        return predict_bins(self, bins, *args, **kwargs)
+
+    tree_cls.predict_bins = counted_predict_bins
 for op in wl.ops:
     op()
 print(__import__("json").dumps(counts))
@@ -168,8 +184,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--counts", action="store_true",
-                    help="also count split scans, grow_trees and compute_gradients calls "
-                         "at the first seed")
+                    help="also count split scans, grow_trees, compute_gradients and "
+                         "Tree.predict_bins calls, and routed rows, at the first seed")
     ap.add_argument("--out", default=None, help="write the summary and every run as JSON")
     args = ap.parse_args(argv)
 

@@ -114,9 +114,8 @@ def _load_bundle(path: str):
         raise ValidationError(f"{path}: unknown bundle format {fmt!r}")
     try:
         return load(path, doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"{path}: malformed {fmt} bundle ({type(exc).__name__}: {exc})") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def cmd_predict(args) -> int:
@@ -126,8 +125,8 @@ def cmd_predict(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row_id", "score"])
-            for i, s in enumerate(scores):
-                writer.writerow([i, repr(float(s))])
+            # csv writes a float as its repr
+            writer.writerows(enumerate(scores.tolist()))
     else:
         # columns by name against the level-0 vocabularies; --schema is not needed
         scores = bundle.predict_score(encode_csv(args.data, bundle.feature_columns()))
@@ -135,8 +134,7 @@ def cmd_predict(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row_id", "blended_score", "action"])
-            for i, (s, a) in enumerate(zip(scores, actions)):
-                writer.writerow([i, repr(float(s)), int(a)])
+            writer.writerows(zip(range(scores.size), scores.tolist(), actions.tolist()))
     print(f"wrote predictions to {args.out}")
     return 0
 

@@ -26,7 +26,7 @@ import numpy as np
 from .blend import LinearBlender, fit_blender
 from .booster import Model, check_trainable, predict, train_many
 from .dataset import CATEGORICAL, Dataset, FeatureBins, bin_features, read_json
-from .errors import ValidationError
+from .errors import ValidationError, decoding
 from .fsl import fsl_preset
 from .mlp import MLP
 from .params import Params
@@ -285,31 +285,39 @@ class StackingPipeline:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StackingPipeline":
-        if d.get("format") != "fewboost-pipeline":
+        """Decode a pipeline bundle document.
+
+        A missing field or a value that does not decode raises
+        :class:`ValidationError` naming the part that is bad (``level-0
+        entry 2: tree 3: ...``), as a bad level-0 model does.
+        """
+        if not isinstance(d, dict) or d.get("format") != "fewboost-pipeline":
             raise ValidationError("not a fewboost pipeline document")
-        fits = []
-        for entry in d["level0"]:
-            cfg = Level0Config(
-                name=entry["name"],
-                feature_set=tuple(int(j) for j in entry["feature_set"]),
-                params=Params.from_dict(entry["params"]),
-                shot_indices=np.asarray(entry["shot_indices"], dtype=np.intp),
-                winsor_quantiles=(
-                    None if entry["winsor_quantiles"] is None
-                    else tuple(entry["winsor_quantiles"])
-                ),
-            )
-            fits.append(Level0Fit(config=cfg, model=Model.from_dict(entry["model"])))
-        th = d["thresholds"]
-        return cls(
-            fits=fits,
-            blender=(MLP.from_dict(d["mlp"]) if "mlp" in d
-                     else LinearBlender.from_dict(d["blender"])),
-            thresholds=ActionThresholds(
-                t_low=-np.inf if th["t_low"] is None else float(th["t_low"]),
-                t_high=np.inf if th["t_high"] is None else float(th["t_high"]),
-            ),
-        )
+        with decoding():
+            fits = []
+            for k, entry in enumerate(d["level0"]):
+                with decoding(f"level-0 entry {k}"):
+                    cfg = Level0Config(
+                        name=entry["name"],
+                        feature_set=tuple(int(j) for j in entry["feature_set"]),
+                        params=Params.from_dict(entry["params"]),
+                        shot_indices=np.asarray(entry["shot_indices"], dtype=np.intp),
+                        winsor_quantiles=(
+                            None if entry["winsor_quantiles"] is None
+                            else tuple(entry["winsor_quantiles"])
+                        ),
+                    )
+                    fits.append(Level0Fit(config=cfg, model=Model.from_dict(entry["model"])))
+            with decoding("blender"):
+                blender = (MLP.from_dict(d["mlp"]) if "mlp" in d
+                           else LinearBlender.from_dict(d["blender"]))
+            with decoding("thresholds"):
+                th = d["thresholds"]
+                thresholds = ActionThresholds(
+                    t_low=-np.inf if th["t_low"] is None else float(th["t_low"]),
+                    t_high=np.inf if th["t_high"] is None else float(th["t_high"]),
+                )
+            return cls(fits=fits, blender=blender, thresholds=thresholds)
 
 
 def save_pipeline(pipeline: StackingPipeline, path) -> None:

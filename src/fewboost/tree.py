@@ -54,6 +54,16 @@ The gain of a split is the hessian-weighted children score
 Rows whose feature value is missing sit in a reserved trailing bin and are
 attached to whichever side of a split yields the higher gain
 (``default_left``; the left side on a tie).
+
+Rows are routed through a node by one kernel, ``_route``, which prediction
+(:meth:`Tree.predict_bins`, and so the training-score update) and the
+grower's partition share. It reads the node feature's bin column as a 1-D
+view of the (rows x features) bin matrix, in any memory order, and gathers
+it once for the node's rows; at the root, which every row reaches, it
+compares the column in place. The go-left mask is one comparison (``<=``
+the threshold bin, ``==`` a single category, ``isin`` for several), the
+missing-value bin is folded into it with one op, and the two sides come
+back as row ids in their original order.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import BinnedDataset, CATEGORICAL
-from .errors import ValidationError
+from .errors import DECODE_ERRORS, ValidationError, describe
 from .params import Params
 
 LEAF_VALUE_CLAMP = 1e4
@@ -458,15 +468,6 @@ def categorical_split(hist: FeatureHistogram, node: NodeStats, params: Params,
 # tree structure and growth
 
 
-def _goes_left(fb: np.ndarray, left_cats, threshold_bin: int) -> np.ndarray:
-    """Which bin ids go left, before missing rows are routed (no ``isin`` for one category)."""
-    if left_cats is None:
-        return fb <= threshold_bin
-    if len(left_cats) == 1:
-        return fb == left_cats[0]
-    return np.isin(fb, left_cats)
-
-
 @dataclass(slots=True)
 class TreeNode:
     """One node; a leaf has ``feature`` -1. Slots keep a batch's many small trees light."""
@@ -499,27 +500,22 @@ class Tree:
         return (nd for nd in self.nodes if not nd.is_leaf)
 
     def predict_bins(self, bins: np.ndarray) -> np.ndarray:
-        """Leaf value per row of a binned matrix (vectorized routing)."""
-        n = bins.shape[0]
-        out = np.zeros(n, dtype=np.float64)
-        root = self.nodes[0]
-        if root.is_leaf:
-            out[:] = root.value
-            return out
-        stack: list[tuple[int, np.ndarray]] = [(0, np.arange(n, dtype=np.intp))]
+        """Leaf value per row of a binned (rows x features) matrix, in any memory order."""
+        out = np.zeros(bins.shape[0], dtype=np.float64)
+        nodes = self.nodes
+        stack: list[tuple[int, np.ndarray | None]] = [(0, None)]  # None: every row
         while stack:
-            nid, idx = stack.pop()
-            nd = self.nodes[nid]
-            if nd.is_leaf:
-                out[idx] = nd.value
-                continue
-            if idx.size == 0:
-                continue
-            fb = bins[idx, nd.feature]
-            go_left = np.where(fb == nd.missing_bin, nd.default_left,
-                               _goes_left(fb, nd.left_cats, nd.threshold_bin))
-            stack.append((nd.left, idx[go_left]))
-            stack.append((nd.right, idx[~go_left]))
+            nid, rows = stack.pop()
+            nd = nodes[nid]
+            if nd.feature < 0:
+                if rows is None:
+                    out.fill(nd.value)
+                else:
+                    out[rows] = nd.value
+            elif rows is None or rows.size:
+                left, right = _route(bins[:, nd.feature], rows, nd)
+                stack.append((nd.left, left))
+                stack.append((nd.right, right))
         return out
 
     def to_dict(self) -> dict:
@@ -545,29 +541,89 @@ class Tree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
-        tree = cls(num_leaves_used=int(d["num_leaves_used"]))
+        """Decode one tree of a bundle; a malformed one raises :class:`ValidationError`.
+
+        For a bad node the message names the node by its depth-first index
+        and the field that is missing or does not decode.
+        """
+        try:
+            tree = cls(num_leaves_used=int(d["num_leaves_used"]))
+            root = d["root"]
+        except DECODE_ERRORS as exc:
+            raise ValidationError(describe(exc)) from exc
+        nodes = tree.nodes
 
         def build(nd: dict) -> int:
-            nid = len(tree.nodes)
-            if "leaf" in nd:
-                tree.nodes.append(TreeNode(value=float(nd["leaf"]), count=int(nd["count"])))
-                return nid
-            tree.nodes.append(TreeNode())
-            node = tree.nodes[nid]
-            node.feature = int(nd["feature"])
-            node.count = int(nd["count"])
-            node.default_left = bool(nd["default_left"])
-            node.missing_bin = int(nd["missing_bin"])
-            if "left_cats" in nd:
-                node.left_cats = tuple(int(c) for c in nd["left_cats"])
-            else:
-                node.threshold_bin = int(nd["threshold_bin"])
-            node.left = build(nd["left"])
-            node.right = build(nd["right"])
+            nid = len(nodes)
+            try:
+                if "leaf" in nd:
+                    nodes.append(TreeNode(value=float(nd["leaf"]), count=int(nd["count"])))
+                    return nid
+                node = TreeNode()
+                node.feature = int(nd["feature"])
+                node.count = int(nd["count"])
+                node.default_left = bool(nd["default_left"])
+                node.missing_bin = int(nd["missing_bin"])
+                if "left_cats" in nd:
+                    node.left_cats = tuple(int(c) for c in nd["left_cats"])
+                else:
+                    node.threshold_bin = int(nd["threshold_bin"])
+                left, right = nd["left"], nd["right"]
+            except DECODE_ERRORS as exc:
+                raise ValidationError(f"node {nid}: {_node_fault(nd, exc)}") from exc
+            nodes.append(node)
+            node.left = build(left)
+            node.right = build(right)
             return nid
 
-        build(d["root"])
+        build(root)
         return tree
+
+
+def _node_fault(nd: Any, exc: Exception) -> str:
+    """What keeps a bundle node from decoding, once decoding it has raised ``exc``."""
+    if not isinstance(nd, dict):
+        return f"a node must be an object, got {type(nd).__name__}"
+    if isinstance(exc, KeyError):
+        return describe(exc)
+    for key, kind, want in (("leaf", float, "a number"), ("count", int, "an integer"),
+                            ("feature", int, "an integer"), ("missing_bin", int, "an integer"),
+                            ("threshold_bin", int, "an integer")):
+        if key in nd:
+            try:
+                kind(nd[key])
+            except (OverflowError, TypeError, ValueError):
+                return f"field {key!r} must be {want}, got {nd[key]!r}"
+    return f"field 'left_cats' must be a list of integers, got {nd.get('left_cats')!r}"
+
+
+def _route(col: np.ndarray, rows: np.ndarray | None,
+           node: TreeNode) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``rows`` at an internal ``node``: the rows that go left, then those that go right.
+
+    ``col`` is the bin column of the node's feature, a 1-D view of any
+    stride, and ``rows`` the row ids that reach the node; None means every
+    row, and the column is compared in place. A row goes left when its bin
+    is at most ``threshold_bin`` or one of ``left_cats``; a row in
+    ``missing_bin`` goes left exactly when ``default_left`` is set. Both
+    results keep the order of ``rows``.
+    """
+    fb = col if rows is None else col[rows]
+    cats = node.left_cats
+    if cats is None:
+        go = fb <= node.threshold_bin
+    elif len(cats) == 1:
+        go = fb == cats[0]
+    else:
+        go = np.isin(fb, cats)
+    if node.default_left:
+        go |= fb == node.missing_bin
+    else:
+        go &= fb != node.missing_bin
+    left, right = go.nonzero()[0], (~go).nonzero()[0]
+    if rows is None:
+        return left, right
+    return rows[left], rows[right]
 
 
 def _leaf_value(stats: NodeStats) -> float:
@@ -624,25 +680,20 @@ class _Grower:
         generator that the model's next round draws its bag from.
         """
         _, nid, cand, stats = heapq.heappop(self.frontier)
-        fb = self.bds.bins[stats.row_set, cand.feature]
-        missing_bin = self.bds.mapper[cand.feature].missing_bin
-        go_left = np.where(fb == missing_bin, cand.default_left,
-                           _goes_left(fb, cand.left_cats, cand.threshold_bin))
-        left_rows = stats.row_set[go_left]
-        right_rows = stats.row_set[~go_left]
-        assert left_rows.size == cand.n_left and right_rows.size == cand.n_right
-
-        left_stats = NodeStats.from_rows(left_rows, self.grads)
-        right_stats = NodeStats.from_rows(right_rows, self.grads)
         nodes = self.tree.nodes
         node = nodes[nid]
         node.feature = cand.feature
         node.default_left = cand.default_left
-        node.missing_bin = missing_bin
+        node.missing_bin = self.bds.mapper[cand.feature].missing_bin
         if cand.left_cats is not None:
             node.left_cats = cand.left_cats
         else:
             node.threshold_bin = cand.threshold_bin
+        left_rows, right_rows = _route(self.bds.bins[:, cand.feature], stats.row_set, node)
+        assert left_rows.size == cand.n_left and right_rows.size == cand.n_right
+
+        left_stats = NodeStats.from_rows(left_rows, self.grads)
+        right_stats = NodeStats.from_rows(right_rows, self.grads)
         node.left = len(nodes)
         nodes.append(TreeNode(value=_leaf_value(left_stats), count=left_stats.n))
         node.right = len(nodes)

@@ -126,13 +126,21 @@ def corrupt_bundle(doc: dict, fault: str) -> dict:
     """A copy of a trained model bundle with one fault.
 
     ``fault`` is ``feature`` (the first split reads feature 99), ``leaf`` (a
-    NaN leaf), ``base_score`` (an infinite base score) or ``edges`` (a NaN
-    bin edge).
+    NaN leaf), ``base_score`` (an infinite base score), ``edges`` (a NaN
+    bin edge), or ``count-nan``, ``count-inf``, ``count-text`` and
+    ``count-missing`` (the first split's row count is NaN, infinite, the
+    string ``"x"`` or absent).
     """
     doc = json.loads(json.dumps(doc))
     split = next(t["root"] for t in doc["trees"] if "feature" in t["root"])
     if fault == "feature":
         split["feature"] = 99
+    elif fault.startswith("count-"):
+        bad = {"nan": float("nan"), "inf": float("inf"), "text": "x"}
+        if fault == "count-missing":
+            del split["count"]
+        else:
+            split["count"] = bad[fault[len("count-"):]]
     elif fault == "leaf":
         leaf = split["left"]
         while "leaf" not in leaf:

@@ -52,16 +52,21 @@ def test_a_null_or_non_finite_metric_is_not_a_result(bench_pairs, tmp_path, line
 def test_counts_find_a_function_under_every_module_that_binds_it(bench_pairs, tmp_path):
     # a stand-in package: booster binds tree's grow_trees under its own name,
     # and one round of the stand-in workload makes a known number of calls
+    # and routes a known number of rows, bins passed by position or by name
     package = tmp_path / "src" / "fewboost"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("", encoding="utf-8")
     (package / "tree.py").write_text(
         "def _best_splits():\n    pass\n\n\n"
-        "def grow_trees():\n    _best_splits()\n    _best_splits()\n", encoding="utf-8")
+        "def grow_trees():\n    _best_splits()\n    _best_splits()\n    return [Tree()]\n\n\n"
+        "class Tree:\n    def predict_bins(self, bins):\n        return bins\n", encoding="utf-8")
     (package / "booster.py").write_text(
         "from .tree import grow_trees\n\n\n"
         "def compute_gradients():\n    pass\n\n\n"
-        "def train():\n    compute_gradients()\n    grow_trees()\n", encoding="utf-8")
+        "def train():\n    compute_gradients()\n"
+        "    for tree in grow_trees():\n"
+        "        tree.predict_bins([[0, 1]] * 5)\n        tree.predict_bins(bins=[[2]] * 7)\n",
+        encoding="utf-8")
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "workloads.py").write_text(
         "from fewboost import booster\n\n\n"
@@ -73,4 +78,5 @@ def test_counts_find_a_function_under_every_module_that_binds_it(bench_pairs, tm
         "    def round(self):\n        booster.train()\n        booster.compute_gradients()\n\n\n"
         "WORKLOADS = {'stack': Workload}\n", encoding="utf-8")
     counts = bench_pairs.count_calls(str(tmp_path), "stack", 3, str(tmp_path))
-    assert counts == {"_best_splits": 6, "grow_trees": 3, "compute_gradients": 6}
+    assert counts == {"_best_splits": 6, "grow_trees": 3, "compute_gradients": 6,
+                      "predict_bins": 6, "routed_rows": 3 * (5 + 7)}

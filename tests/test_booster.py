@@ -269,6 +269,50 @@ def test_load_model_rejects_an_out_of_range_feature_or_a_non_finite_number(tmp_p
         load_model(path)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("count-nan", r"tree \d+: node 0: field 'count' must be an integer, got nan"),
+    ("count-inf", r"tree \d+: node 0: field 'count' must be an integer, got inf"),
+    ("count-text", r"tree \d+: node 0: field 'count' must be an integer, got 'x'"),
+    ("count-missing", r"tree \d+: node 0: missing field 'count'"),
+])
+def test_load_model_names_a_node_field_that_does_not_decode(tmp_path, fault, message):
+    # a bad field raises ValidationError naming its tree, node and field,
+    # from the Python API as from the CLI
+    ds = make_synthetic_binary(n_rows=80, seed=6)
+    params = dataclasses.replace(fsl_preset(), n_rounds=5, seed=3)
+    model = train(bin_features(ds, params.max_bin, params.min_data_in_bin), params)
+    doc = corrupt_bundle(model.to_dict(), fault)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        load_model(path)
+    with pytest.raises(ValidationError, match=message):
+        Model.from_dict(doc)
+
+
+@pytest.mark.parametrize("break_it, message", [
+    (lambda d: d.pop("features"), "missing field 'features'"),
+    (lambda d: d["features"][0].pop("name"), "feature 0: missing field 'name'"),
+    (lambda d: d.__setitem__("trees", 3), "TypeError"),
+    (lambda d: d["trees"].__setitem__(1, [1, 2]), "tree 1: TypeError"),
+    (lambda d: d["trees"][0].pop("root"), "tree 0: missing field 'root'"),
+    (lambda d: d["trees"][0]["root"].__setitem__("left", "leaf"),
+     "tree 0: node 1: a node must be an object, got str"),
+    (lambda d: d["trees"][0]["root"].__setitem__("left_cats", ["c"]),
+     "tree 0: node 0: field 'left_cats' must be a list of integers, got \\['c'\\]"),
+    (lambda d: d.__setitem__("base_score", "x"), "base_score: ValueError"),
+    (lambda d: d.__setitem__("params", []), "params: parameters must be a mapping"),
+])
+def test_model_from_dict_turns_every_decoding_error_into_a_validation_error(break_it, message):
+    ds = make_synthetic_binary(n_rows=200, seed=1)
+    params = dataclasses.replace(fsl_preset(), n_rounds=3, seed=0)
+    doc = train(bin_features(ds, params.max_bin, params.min_data_in_bin), params).to_dict()
+    assert "feature" in doc["trees"][0]["root"]
+    break_it(doc)
+    with pytest.raises(ValidationError, match=message):
+        Model.from_dict(doc)
+
+
 @pytest.mark.parametrize("preset", [default_preset, fsl_preset])
 def test_train_many_equals_training_each_model_alone(preset):
     # one lockstep batch over differently sized and binned data, one seed each

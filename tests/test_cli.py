@@ -457,3 +457,28 @@ def test_predict_with_a_malformed_bundle_fails_with_one_error_line_and_no_output
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, fault, message", [
+    ("model", "count-nan", "field 'count' must be an integer, got nan"),
+    ("model", "count-missing", "missing field 'count'"),
+    ("pipeline", "level0", "missing field 'level0'"),
+])
+def test_predict_names_the_bundle_file_when_it_does_not_decode(tmp_path, scoring_bundles, capsys,
+                                                               kind, fault, message):
+    ds = scoring_bundles["ds"]
+    doc = json.loads(scoring_bundles[kind][0].read_text(encoding="utf-8"))
+    if kind == "model":
+        doc = corrupt_bundle(doc, fault)
+    else:
+        del doc[fault]
+    bundle = tmp_path / f"{kind}.json"
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
+    write_csv(ds, tmp_path / "rows.csv")
+    out = tmp_path / "scores.csv"
+    capsys.readouterr()
+    assert main(["predict", "--model", str(bundle), "--data", str(tmp_path / "rows.csv"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bundle}: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()

@@ -341,6 +341,42 @@ def test_pipeline_fit_predict_and_round_trip(tmp_path):
     assert np.array_equal(loaded.predict_actions(ds.values), actions)
 
 
+@pytest.fixture(scope="module")
+def pipeline_doc():
+    ds = make_synthetic_stock(n_rows=400, seed=0)
+    pipeline = fit_stacking(ds, _zoo(ds), {"sell": 0.25, "hold": 0.5, "buy": 0.25}, seed=0)
+    return pipeline.to_dict()
+
+
+def _first_split(entry):
+    return next(t["root"] for t in entry["model"]["trees"] if "feature" in t["root"])
+
+
+@pytest.mark.parametrize("break_it, message", [
+    (lambda d: d.pop("level0"), "^missing field 'level0'$"),
+    (lambda d: d["level0"][2].pop("params"), "^level-0 entry 2: missing field 'params'$"),
+    (lambda d: _first_split(d["level0"][1]).__setitem__("count", float("nan")),
+     r"^level-0 entry 1: tree \d+: node 0: field 'count' must be an integer, got nan$"),
+    (lambda d: _first_split(d["level0"][3]).pop("count"),
+     r"^level-0 entry 3: tree \d+: node 0: missing field 'count'$"),
+    (lambda d: d["level0"][0]["model"].pop("trees"), "^level-0 entry 0: missing field 'trees'$"),
+    (lambda d: d["blender"].pop("weights"), "^blender: missing field 'weights'$"),
+    (lambda d: d["thresholds"].__setitem__("t_low", "x"), "^thresholds: ValueError"),
+    (lambda d: d.__setitem__("level0", 7), "^TypeError"),
+])
+def test_load_pipeline_names_what_does_not_decode(tmp_path, pipeline_doc, break_it, message):
+    # a missing level-0 list, a bad level-0 model or a bad blender raises
+    # ValidationError naming the part, never a raw KeyError or ValueError
+    doc = json.loads(json.dumps(pipeline_doc))
+    break_it(doc)
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        load_pipeline(path)
+    with pytest.raises(ValidationError, match=message):
+        stacking.StackingPipeline.from_dict(doc)
+
+
 def test_pipeline_writes_nothing_to_stdout_and_scores_are_finite(capsys, monkeypatch):
     # a benchmark run's last stdout line is its JSON result: the stacked
     # pipeline must print nothing and give finite scores and blend weights

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from fewboost.booster import GradientPairs, compute_gradients
 from fewboost.dataset import BinnedDataset, FeatureBins
+from fewboost.fsl import default_preset, fsl_preset
 from fewboost.params import OBJECTIVES, Params
-from fewboost.tree import (GrowJob, NodeStats, build_histogram,
+from fewboost.tree import (GrowJob, NodeStats, Tree, TreeNode, build_histogram,
                            categorical_split, extra_random_split,
                            find_best_split, grow_tree, grow_trees)
 
+import reference_route
 import reference_tree
 from helpers import brute_force_best_split
 
@@ -627,3 +629,76 @@ def test_batch_of_jobs_with_their_own_params_matches_frozen_reference(seed):
         assert json.dumps(tree.to_dict()) == json.dumps(want.to_dict())
         assert job.rng.random() == ref_rng.random()
 
+
+
+# --- routing --------------------------------------------------------------
+
+
+def _random_tree(rng, n_bins):
+    """A hand-built tree over features with ``n_bins[j]`` bins, the last one missing.
+
+    Splits mix numeric thresholds (some at or past the missing bin) and
+    category sets of one or more bins (some holding the missing bin), either
+    ``default_left``; leaf values include -0.0, infinities and NaN.
+    """
+    tree = Tree()
+
+    def build(depth):
+        nid = len(tree.nodes)
+        if depth >= 5 or rng.random() < 0.25 * depth:
+            value = float(rng.choice([rng.standard_normal(), -0.0, np.inf, -np.inf, np.nan],
+                                     p=[0.8, 0.05, 0.05, 0.05, 0.05]))
+            tree.nodes.append(TreeNode(value=value, count=1))
+            return nid
+        f = int(rng.integers(len(n_bins)))
+        node = TreeNode(feature=f, missing_bin=n_bins[f] - 1, default_left=bool(rng.integers(2)))
+        if rng.random() < 0.5:
+            node.threshold_bin = int(rng.integers(-1, n_bins[f] + 1))
+        else:
+            k = int(rng.integers(1, n_bins[f] + 1))
+            node.left_cats = tuple(sorted(rng.choice(n_bins[f], size=k, replace=False).tolist()))
+        tree.nodes.append(node)
+        node.left = build(depth + 1)
+        node.right = build(depth + 1)
+        return nid
+
+    build(0)
+    return tree
+
+
+def _layouts(rng, bins):
+    """``bins`` as a C-order, an F-order and a non-contiguous column-strided matrix."""
+    wide = np.empty((bins.shape[0], 2 * bins.shape[1] + 1), dtype=bins.dtype)
+    wide[:, 1::2] = bins
+    wide[:, ::2] = rng.integers(0, 1000, size=wide[:, ::2].shape)  # never read
+    return [np.ascontiguousarray(bins), np.asfortranarray(bins), wide[:, 1::2]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # saturated sigmoids divide by ~0
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_predict_bins_matches_the_frozen_router(seed):
+    # the column-wise kernel gives every row the leaf value the frozen
+    # per-tree router gives it, bit for bit, on grown and hand-built trees,
+    # for 0, 1 or many rows in any memory layout
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        objective = str(rng.choice(OBJECTIVES))
+        bds, grads, rows, feats = _random_grow_input(rng, objective)
+        preset = [default_preset, fsl_preset, lambda: _random_params(rng, objective)]
+        params = dataclasses.replace(preset[int(rng.integers(3))](), objective=objective)
+        tree = grow_tree(bds, grads, rows, feats, params, np.random.default_rng(seed))
+        n_bins = [fb.missing_bin + 1 for fb in bds.mapper]
+    else:
+        n_bins = [int(rng.integers(1, 13)) for _ in range(int(rng.integers(1, 7)))]
+        tree = _random_tree(rng, n_bins)
+    n = int(rng.choice([0, 1, int(rng.integers(2, 200))]))
+    # with the missing bin present in some columns, absent from the rest
+    top = [k if rng.random() < 0.5 else k - 1 for k in n_bins]
+    bins = np.column_stack([rng.integers(0, max(t, 1), size=n) for t in top]
+                           ).astype(np.uint32).reshape(n, len(n_bins))
+    want = reference_route.predict_bins(tree, np.ascontiguousarray(bins))
+    for layout in _layouts(rng, bins):
+        got = tree.predict_bins(layout)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
