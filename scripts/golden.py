@@ -21,7 +21,18 @@ digest with ``tests/golden.json``. The set is:
 - ``predict_model`` and ``predict_pipeline``: the CSV that ``fewboost
   predict`` writes for the ``bundle`` model and for that pipeline, each
   scoring its own table in reversed row order, so a scoring file that lists
-  categories in another order than the training data.
+  categories in another order than the training data;
+- ``bundle_file`` and ``pipeline_file``: the bytes ``save_model`` and
+  ``save_pipeline`` write for that model and that pipeline;
+- ``calibrate``: the thresholds file that ``fewboost calibrate`` writes from
+  the ``predict_pipeline`` CSV;
+- ``bench_report``: the JSON report and its ``.txt`` table that ``fewboost
+  bench`` writes for a 200-row ``make_synthetic_binary`` table written with
+  ``write_csv``, shots 4/16, 2 seeds, ``fsl`` preset.
+
+The digests named after a model or a pipeline hash its sorted-key
+``to_dict()`` JSON; the ``_file``, ``predict_*``, ``calibrate`` and
+``bench_report`` digests hash the bytes a writer puts on disk.
 
 A change that alters a digest on purpose regenerates the file and says which
 digests changed and why.
@@ -65,21 +76,49 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def _predict_digest(save, bundle, ds) -> str:
-    """Digest of ``fewboost predict`` output for ``ds`` in reversed row order."""
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _cli(*argv) -> None:
+    """Run one ``fewboost`` command, its stdout discarded; raise unless it exits 0."""
     from fewboost.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code != 0:
+        raise RuntimeError(f"fewboost {argv[0]} exited {code}")
+
+
+def _file_digests(save, bundle, ds, name: str, tmp: str) -> tuple[str, str]:
+    """Digests of ``bundle``'s file and of ``fewboost predict`` on ``ds`` in reversed row order.
+
+    The prediction CSV stays in ``tmp`` as ``<name>.csv``.
+    """
     from fewboost.dataset import write_csv
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path, data, out = (os.path.join(tmp, f) for f in ("bundle.json", "rows.csv", "out.csv"))
-        save(bundle, path)
-        write_csv(ds.take(range(ds.n_rows - 1, -1, -1)), data)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["predict", "--model", path, "--data", data, "--out", out])
-        if code != 0:
-            raise RuntimeError(f"fewboost predict exited {code}")
-        with open(out, "rb") as fh:
-            return _sha(fh.read())
+    path, data, out = (os.path.join(tmp, f"{name}{ext}") for ext in (".json", ".rows.csv", ".csv"))
+    save(bundle, path)
+    write_csv(ds.take(range(ds.n_rows - 1, -1, -1)), data)
+    _cli("predict", "--model", path, "--data", data, "--out", out)
+    return _sha(_read(path)), _sha(_read(out))
+
+
+def _bench_report_digest(tmp: str) -> str:
+    """Digest of the JSON report and ``.txt`` table ``fewboost bench`` writes."""
+    from fewboost.dataset import schema_for, write_csv
+    from fewboost.synth import make_synthetic_binary
+
+    ds = make_synthetic_binary(n_rows=200, seed=2)
+    data, schema, out = (os.path.join(tmp, f) for f in ("grid.csv", "grid.schema.json",
+                                                          "report.json"))
+    write_csv(ds, data)
+    with open(schema, "w", encoding="utf-8") as fh:
+        json.dump(schema_for(ds), fh)
+    _cli("bench", "--data", data, "--schema", schema, "--preset", "fsl", "--shots", "4,16",
+         "--seeds", "2", "--out", out)
+    return _sha(_read(out), _read(os.path.join(tmp, "report.txt")))
 
 
 def build_digests() -> dict[str, str]:
@@ -105,7 +144,6 @@ def build_digests() -> dict[str, str]:
     model = train(bin_features(ds, params.max_bin, params.min_data_in_bin), params)
     out["bundle"] = _sha(_json(model.to_dict()))
     out["bundle_scores"] = _sha(predict(model, ds.values))
-    out["predict_model"] = _predict_digest(save_model, model, ds)
 
     stock = make_synthetic_stock(n_rows=1600, seed=0)
     configs = make_default_zoo(stock, k_per_model=200, seed=0)
@@ -115,7 +153,17 @@ def build_digests() -> dict[str, str]:
     out["pipeline"] = _sha(_json(pipeline.to_dict()))
     out["pipeline_scores"] = _sha(scores)
     out["pipeline_actions"] = _sha(pipeline.thresholds.apply(scores))
-    out["predict_pipeline"] = _predict_digest(save_pipeline, pipeline, stock)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out["bundle_file"], out["predict_model"] = _file_digests(save_model, model, ds,
+                                                                 "model", tmp)
+        out["pipeline_file"], out["predict_pipeline"] = _file_digests(
+            save_pipeline, pipeline, stock, "pipeline", tmp)
+        thresholds = os.path.join(tmp, "thresholds.json")
+        _cli("calibrate", "--data", os.path.join(tmp, "pipeline.csv"),
+             "--target-dist", "0.25,0.5,0.25", "--out", thresholds)
+        out["calibrate"] = _sha(_read(thresholds))
+        out["bench_report"] = _bench_report_digest(tmp)
     return out
 
 
