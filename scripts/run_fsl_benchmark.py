@@ -10,10 +10,9 @@ Example:
 """
 
 import argparse
-import json
 import sys
 
-from fewboost.dataset import load_csv, load_schema
+from fewboost.dataset import load_csv, load_schema, write_json
 from fewboost.fsl import default_preset, fsl_preset, run_benchmark
 from fewboost.synth import make_synthetic_binary
 
@@ -50,9 +49,7 @@ def main() -> int:
                 print(f"  {preset:8s} {k:3d}-shot  median={cell.median:.4f}  "
                       f"sd={cell.sd:.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, report.to_dict())
         print(f"report written to {args.out}")
     return 2 if report.has_failures else 0
 

@@ -15,15 +15,14 @@ of one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import BinnedDataset, FeatureBins, bin_matrix, read_json
-from .errors import ValidationError, decoding
+from .dataset import BinnedDataset, FeatureBins, bin_matrix, read_json, write_json
+from .errors import ValidationError, decoding, integer
 from .params import Params
 from .tree import GrowJob, Tree, grow_trees
 
@@ -126,10 +125,11 @@ class Model:
     def from_dict(cls, d: dict) -> "Model":
         """Decode a model bundle document.
 
-        A missing field, a value that does not decode, a split on a feature
-        outside the bundle's feature list, or a non-finite leaf value, base
-        score or bin edge raises :class:`ValidationError` naming the part
-        that is bad (``tree 3: node 5: field 'count' ...``).
+        A missing field, a value that does not decode or is not a JSON
+        integer where one is due, a non-finite base score or bin edge, an
+        ``objective`` other than the params' own, or a bad tree (each checked
+        in one pass by :meth:`~fewboost.tree.Tree.from_dict`) raises
+        :class:`ValidationError` naming the part (``tree 3: node 5: ...``).
         """
         if not isinstance(d, dict) or d.get("format") != "fewboost-model":
             raise ValidationError("not a fewboost model document")
@@ -139,39 +139,31 @@ class Model:
             mapper = []
             for j, f in enumerate(d["features"]):
                 with decoding(f"feature {j}"):
-                    mapper.append(FeatureBins(
-                        name=f["name"], kind=f["kind"], n_real_bins=int(f["n_real_bins"]),
+                    fb = FeatureBins(
+                        name=f["name"], kind=f["kind"],
+                        n_real_bins=integer("n_real_bins", f["n_real_bins"]),
                         edges=np.asarray(f["edges"], dtype=np.float64) if "edges" in f else None,
                         categories=tuple(f["categories"]) if "categories" in f else None,
-                    ))
-            edges = [fb.edges for fb in mapper if fb.edges is not None]
-            if edges and not np.isfinite(np.concatenate(edges)).all():
-                name = next(fb.name for fb in mapper
-                            if fb.edges is not None and not np.isfinite(fb.edges).all())
-                raise ValidationError(f"feature {name!r}: bin edges must be finite numbers")
+                    )
+                if fb.edges is not None and not np.isfinite(fb.edges).all():
+                    raise ValidationError(f"feature {fb.name!r}: bin edges must be finite numbers")
+                mapper.append(fb)
             with decoding("base_score"):
                 base_score = float(d["base_score"])
             if not math.isfinite(base_score):
                 raise ValidationError(f"base_score must be a finite number, got {base_score!r}")
+            with decoding("params"):
+                params = Params.from_dict(d["params"])
+            if d["objective"] != params.objective:
+                raise ValidationError(f"objective {d['objective']!r} is not the params' "
+                                      f"objective {params.objective!r}")
             trees = []
             for i, t in enumerate(d["trees"]):
                 try:
-                    trees.append(Tree.from_dict(t))
+                    trees.append(Tree.from_dict(t, len(mapper)))
                 except ValidationError as exc:
                     raise ValidationError(f"tree {i}: {exc}") from exc
-            n_features = len(mapper)
-            for i, tree in enumerate(trees):
-                for node in tree.nodes:
-                    if node.left < 0:
-                        if not math.isfinite(node.value):
-                            raise ValidationError(f"tree {i}: leaf value must be a finite "
-                                                  f"number, got {node.value!r}")
-                    elif not 0 <= node.feature < n_features:
-                        raise ValidationError(f"tree {i}: split feature {node.feature} is not "
-                                              f"one of the model's {n_features} features")
-            with decoding("params"):
-                params = Params.from_dict(d["params"])
-            return cls(trees=trees, base_score=base_score, objective=str(d["objective"]),
+            return cls(trees=trees, base_score=base_score, objective=params.objective,
                        params=params, mapper=mapper)
 
 
@@ -332,9 +324,7 @@ def predict(model: Model, rows) -> np.ndarray:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model.to_dict())
 
 
 def load_model(path, doc: dict | None = None) -> Model:

@@ -8,7 +8,13 @@ and ``calibrate`` (recompute thresholds for a scores file). Exit codes:
 ``predict`` reads the scoring CSV's columns by name and codes its categories
 against the bundle's training vocabulary (``dataset.encode_csv``), so the
 scores do not depend on the file's row or column order. It needs no
-``--schema``; the flag is still accepted.
+``--schema``; the flag is still accepted. A bundle is checked as it
+decodes, strictly: an integer field must hold a JSON integer.
+
+``calibrate`` reads its scores with the same CSV decoder (``load_csv``, the
+score column as the target and every other column ignored), so a malformed
+scores file fails with that decoder's message. Every JSON output goes
+through ``dataset.write_json``.
 
 Identical inputs and ``--seed`` produce byte-identical output files.
 """
@@ -17,15 +23,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
-import math
 import os
 import sys
 
-import numpy as np
-
 from .booster import Model, load_model, predict, save_model, train
-from .dataset import bin_features, encode_csv, load_csv, load_schema, open_csv, read_json
+from .dataset import (bin_features, encode_csv, load_csv, load_schema, open_csv, read_json,
+                      write_json)
 from .errors import FewboostError, ValidationError
 from .fsl import default_preset, fsl_preset, run_benchmark
 from .params import Params
@@ -70,12 +73,6 @@ def _parse_target_dist(text: str) -> dict[str, float]:
     return {"sell": p[0], "hold": p[1], "buy": p[2]}
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def cmd_bench(args) -> int:
     schema = load_schema(args.schema)
     ds = load_csv(args.data, schema)
@@ -84,7 +81,7 @@ def cmd_bench(args) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
     presets = {args.preset if args.preset != "file" else "custom": params}
     report = run_benchmark(ds, shots, seeds, presets)
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict())
     txt_path = os.path.splitext(args.out)[0] + ".txt"
     with open(txt_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
@@ -156,45 +153,13 @@ def cmd_stack(args) -> int:
 
 def cmd_calibrate(args) -> int:
     with open_csv(args.data) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{args.data}: file is empty") from None
-        col = None
-        for candidate in ("blended_score", "score"):
-            if candidate in header:
-                col = header.index(candidate)
-                break
-        if col is None:
-            raise ValidationError(f"{args.data}: expected a 'score' or 'blended_score' column")
-        scores = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{args.data}: row {row_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                score = float(row[col])
-            except ValueError:
-                raise ValidationError(
-                    f"{args.data}: row {row_no}: non-numeric score {row[col]!r}"
-                ) from None
-            if not math.isfinite(score):
-                raise ValidationError(f"{args.data}: row {row_no}: non-finite score {row[col]!r}")
-            scores.append(score)
-    thresholds = calibrate_thresholds(np.asarray(scores), _parse_target_dist(args.target_dist))
-
-    def enc(v: float):
-        return None if np.isinf(v) else v
-
-    _write_json(args.out, {
-        "format": "fewboost-thresholds",
-        "version": 1,
-        "t_low": enc(thresholds.t_low),
-        "t_high": enc(thresholds.t_high),
-    })
+        header = next(reader, [])
+    col = next((c for c in ("blended_score", "score") if c in header), None)
+    if col is None:
+        raise ValidationError(f"{args.data}: expected a 'score' or 'blended_score' column")
+    scores = load_csv(args.data, {c: "target" if c == col else "ignore" for c in header}).target
+    thresholds = calibrate_thresholds(scores, _parse_target_dist(args.target_dist))
+    write_json(args.out, {"format": "fewboost-thresholds", "version": 1, **thresholds.to_dict()})
     print(f"wrote thresholds to {args.out}")
     return 0
 

@@ -99,8 +99,8 @@ class Dataset:
 def read_json(path):
     """The parsed content of the UTF-8 JSON file ``path``.
 
-    A file that is not UTF-8 text or not JSON raises :class:`ParseError`
-    naming the file.
+    A file that is not UTF-8 text, not JSON, or nested deeper than the
+    interpreter's recursion limit raises :class:`ParseError` naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -109,6 +109,15 @@ def read_json(path):
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not JSON ({exc})") from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
+
+
+def write_json(path, doc) -> None:
+    """Write every JSON file (bundle, report, thresholds): UTF-8, 2-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def load_schema(path) -> dict[str, str]:

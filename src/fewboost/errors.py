@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the decoding guard for bundles."""
+"""Exception types shared across the package, and the decoding checks for bundles."""
 
 from contextlib import contextmanager
 
@@ -24,9 +24,9 @@ class UndefinedMetricError(FewboostError):
 
 
 # What decoding a malformed document raises before any check of ours does:
-# a missing field, a value of the wrong type, a non-object entry, an
-# infinite count.
-DECODE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+# a missing field, a value of the wrong type, a non-object entry, a huge
+# number, a document nested deeper than the recursion limit.
+DECODE_ERRORS = (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError)
 
 
 def describe(exc: Exception) -> str:
@@ -34,6 +34,24 @@ def describe(exc: Exception) -> str:
     if isinstance(exc, KeyError):
         return f"missing field {exc}"
     return f"{type(exc).__name__}: {exc}"
+
+
+def integer(field: str, value) -> int:
+    """``value`` if it is a JSON integer (not a bool, a float or a string), else ValidationError."""
+    if type(value) is not int:
+        raise ValidationError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def integers(field: str, values) -> list[int]:
+    """``values`` if it is a JSON list of integers, else ValidationError naming the bad entry."""
+    if type(values) is not list:
+        raise ValidationError(f"field {field!r} must be a list of integers, "
+                              f"got {type(values).__name__}")
+    if not {*map(type, values)} <= {int}:
+        at, value = next((at, v) for at, v in enumerate(values) if type(v) is not int)
+        raise ValidationError(f"field {field!r} entry {at} must be an integer, got {value!r}")
+    return values
 
 
 @contextmanager

@@ -196,19 +196,6 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _normalize_presets(presets) -> list[tuple[str, Params]]:
-    if isinstance(presets, Mapping):
-        return [(str(name), p) for name, p in presets.items()]
-    items = []
-    for i, entry in enumerate(presets):
-        if isinstance(entry, Params):
-            items.append((f"preset-{i}", entry))
-        else:
-            name, p = entry
-            items.append((str(name), p))
-    return items
-
-
 def _shot_cell(ds: Dataset, k: int, params: Params):
     """A cell's evaluation rows and its binned k-shot sample, checked for training.
 
@@ -237,9 +224,10 @@ def run_cell(ds: Dataset, k: int, seed: int, params: Params) -> float:
 
 
 def run_benchmark(ds: Dataset, shots: Sequence[int], seeds: Sequence[int],
-                  presets) -> BenchmarkReport:
+                  presets: Mapping[str, Params]) -> BenchmarkReport:
     """Evaluate every (preset, shot count, seed) cell of the grid.
 
+    ``presets`` maps each preset's name to its parameters, in report order.
     Cell failures (validation or undefined-metric errors) are recorded in
     the report instead of aborting the grid; a failing cell keeps the
     message :func:`run_cell` would raise. The shot sample for a given
@@ -253,7 +241,7 @@ def run_benchmark(ds: Dataset, shots: Sequence[int], seeds: Sequence[int],
         raise ValidationError("shots must be non-empty")
     if not seeds:
         raise ValidationError("seeds must be non-empty")
-    named = _normalize_presets(presets)
+    named = list(presets.items())
     shots = [int(k) for k in shots]
     seeds = [int(s) for s in seeds]
     # (preset position, k, seed) -> (AUC, error message)

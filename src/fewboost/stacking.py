@@ -17,7 +17,6 @@ distribution. Bundles written with the earlier MLP blender
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from .blend import LinearBlender, fit_blender
 from .booster import Model, check_trainable, predict, train_many
-from .dataset import CATEGORICAL, Dataset, FeatureBins, bin_features, read_json
-from .errors import ValidationError, decoding
+from .dataset import CATEGORICAL, Dataset, FeatureBins, bin_features, read_json, write_json
+from .errors import ValidationError, decoding, integers
 from .fsl import fsl_preset
 from .mlp import MLP
 from .params import Params
@@ -172,6 +171,17 @@ class ActionThresholds:
         s = np.asarray(scores, dtype=np.float64)
         return np.where(s < self.t_low, -1, np.where(s > self.t_high, 1, 0)).astype(np.int64)
 
+    def to_dict(self) -> dict:
+        """The cutpoints as JSON numbers; an infinite one is written as null."""
+        return {"t_low": None if np.isinf(self.t_low) else float(self.t_low),
+                "t_high": None if np.isinf(self.t_high) else float(self.t_high)}
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> "ActionThresholds":
+        """Decode :meth:`to_dict`'s form: a null ``t_low`` is -inf, a null ``t_high`` +inf."""
+        return cls(t_low=-np.inf if d["t_low"] is None else float(d["t_low"]),
+                   t_high=np.inf if d["t_high"] is None else float(d["t_high"]))
+
 
 def _check_target_dist(target_dist: Mapping[str, float]) -> tuple[float, float, float]:
     missing = [a for a in ACTIONS if a not in target_dist]
@@ -255,9 +265,6 @@ class StackingPipeline:
         return [columns.get(j) for j in range(max(columns, default=-1) + 1)]
 
     def to_dict(self) -> dict:
-        def enc(v: float) -> float | None:
-            return None if np.isinf(v) else float(v)
-
         mlp = isinstance(self.blender, MLP)
         return {
             "format": "fewboost-pipeline",
@@ -277,19 +284,19 @@ class StackingPipeline:
                 for fit in self.fits
             ],
             "mlp" if mlp else "blender": self.blender.to_dict(),
-            "thresholds": {
-                "t_low": enc(self.thresholds.t_low),
-                "t_high": enc(self.thresholds.t_high),
-            },
+            "thresholds": self.thresholds.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "StackingPipeline":
         """Decode a pipeline bundle document.
 
-        A missing field or a value that does not decode raises
+        A missing field, a value that does not decode, or a ``feature_set``
+        or ``shot_indices`` entry that is not a JSON integer raises
         :class:`ValidationError` naming the part that is bad (``level-0
-        entry 2: tree 3: ...``), as a bad level-0 model does.
+        entry 2: field 'shot_indices' entry 5 ...``), as a bad level-0 model
+        does (``level-0 entry 2: tree 3: ...``). The thresholds decode
+        through :meth:`ActionThresholds.from_dict`.
         """
         if not isinstance(d, dict) or d.get("format") != "fewboost-pipeline":
             raise ValidationError("not a fewboost pipeline document")
@@ -299,9 +306,10 @@ class StackingPipeline:
                 with decoding(f"level-0 entry {k}"):
                     cfg = Level0Config(
                         name=entry["name"],
-                        feature_set=tuple(int(j) for j in entry["feature_set"]),
+                        feature_set=tuple(integers("feature_set", entry["feature_set"])),
                         params=Params.from_dict(entry["params"]),
-                        shot_indices=np.asarray(entry["shot_indices"], dtype=np.intp),
+                        shot_indices=np.asarray(integers("shot_indices", entry["shot_indices"]),
+                                                dtype=np.intp),
                         winsor_quantiles=(
                             None if entry["winsor_quantiles"] is None
                             else tuple(entry["winsor_quantiles"])
@@ -312,18 +320,12 @@ class StackingPipeline:
                 blender = (MLP.from_dict(d["mlp"]) if "mlp" in d
                            else LinearBlender.from_dict(d["blender"]))
             with decoding("thresholds"):
-                th = d["thresholds"]
-                thresholds = ActionThresholds(
-                    t_low=-np.inf if th["t_low"] is None else float(th["t_low"]),
-                    t_high=np.inf if th["t_high"] is None else float(th["t_high"]),
-                )
+                thresholds = ActionThresholds.from_dict(d["thresholds"])
             return cls(fits=fits, blender=blender, thresholds=thresholds)
 
 
 def save_pipeline(pipeline: StackingPipeline, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pipeline.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, pipeline.to_dict())
 
 
 def load_pipeline(path, doc: dict | None = None) -> StackingPipeline:

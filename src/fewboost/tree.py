@@ -70,12 +70,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .dataset import BinnedDataset, CATEGORICAL
-from .errors import DECODE_ERRORS, ValidationError, describe
+from .errors import DECODE_ERRORS, ValidationError, describe, integer
 from .params import Params
 
 LEAF_VALUE_CLAMP = 1e4
@@ -540,61 +541,85 @@ class Tree:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        """Decode one tree of a bundle; a malformed one raises :class:`ValidationError`.
+    def from_dict(cls, d: dict, n_features: int) -> "Tree":
+        """Decode one bundle tree of a model with ``n_features`` features, or ValidationError.
 
-        For a bad node the message names the node by its depth-first index
-        and the field that is missing or does not decode.
+        One pass builds and checks each node: integer fields and ``left_cats``
+        entries must be JSON integers (not a bool, a float or a string),
+        ``default_left`` a bool, a leaf value a finite number and a split
+        feature below ``n_features``. A bad node's message names it by its
+        depth-first index, and its field; so does a tree too deep to recurse.
         """
-        try:
-            tree = cls(num_leaves_used=int(d["num_leaves_used"]))
-            root = d["root"]
-        except DECODE_ERRORS as exc:
-            raise ValidationError(describe(exc)) from exc
-        nodes = tree.nodes
+        nodes: list[TreeNode] = []
 
         def build(nd: dict) -> int:
             nid = len(nodes)
             try:
+                count = nd["count"]
+                if type(count) is not int:
+                    raise _BadField("count")
                 if "leaf" in nd:
-                    nodes.append(TreeNode(value=float(nd["leaf"]), count=int(nd["count"])))
+                    value = nd["leaf"]
+                    if type(value) is int:
+                        value = float(value)
+                    if type(value) is not float or not isfinite(value):
+                        raise _BadField("leaf")
+                    nodes.append(TreeNode(value, count))
                     return nid
-                node = TreeNode()
-                node.feature = int(nd["feature"])
-                node.count = int(nd["count"])
-                node.default_left = bool(nd["default_left"])
-                node.missing_bin = int(nd["missing_bin"])
+                feature, missing_bin = nd["feature"], nd["missing_bin"]
+                default_left = nd["default_left"]
+                if type(feature) is not int:
+                    raise _BadField("feature")
+                if type(missing_bin) is not int:
+                    raise _BadField("missing_bin")
+                if type(default_left) is not bool:
+                    raise _BadField("default_left")
                 if "left_cats" in nd:
-                    node.left_cats = tuple(int(c) for c in nd["left_cats"])
+                    cats, threshold_bin = nd["left_cats"], -1
+                    if type(cats) is not list or not {*map(type, cats)} <= {int}:
+                        raise _BadField("left_cats")
+                    cats = tuple(cats)
                 else:
-                    node.threshold_bin = int(nd["threshold_bin"])
+                    cats, threshold_bin = None, nd["threshold_bin"]
+                    if type(threshold_bin) is not int:
+                        raise _BadField("threshold_bin")
                 left, right = nd["left"], nd["right"]
             except DECODE_ERRORS as exc:
                 raise ValidationError(f"node {nid}: {_node_fault(nd, exc)}") from exc
+            if not 0 <= feature < n_features:
+                raise ValidationError(f"split feature {feature} is not one of the model's "
+                                      f"{n_features} features")
+            # positional, in field order: keywords cost more per node
+            node = TreeNode(0.0, count, feature, threshold_bin, cats, missing_bin, default_left)
             nodes.append(node)
             node.left = build(left)
             node.right = build(right)
             return nid
 
-        build(root)
+        try:
+            tree = cls(nodes=nodes, num_leaves_used=integer("num_leaves_used",
+                                                             d["num_leaves_used"]))
+            build(d["root"])
+        except DECODE_ERRORS as exc:  # a RecursionError raised between two nodes, too
+            raise ValidationError(describe(exc)) from exc
         return tree
 
 
+class _BadField(ValueError):
+    """A bundle node's field, named by the one argument, holds a bad value."""
+
+
 def _node_fault(nd: Any, exc: Exception) -> str:
-    """What keeps a bundle node from decoding, once decoding it has raised ``exc``."""
+    """What keeps a bundle node from decoding, in words, once decoding it has raised ``exc``."""
     if not isinstance(nd, dict):
         return f"a node must be an object, got {type(nd).__name__}"
-    if isinstance(exc, KeyError):
+    if not isinstance(exc, _BadField):
         return describe(exc)
-    for key, kind, want in (("leaf", float, "a number"), ("count", int, "an integer"),
-                            ("feature", int, "an integer"), ("missing_bin", int, "an integer"),
-                            ("threshold_bin", int, "an integer")):
-        if key in nd:
-            try:
-                kind(nd[key])
-            except (OverflowError, TypeError, ValueError):
-                return f"field {key!r} must be {want}, got {nd[key]!r}"
-    return f"field 'left_cats' must be a list of integers, got {nd.get('left_cats')!r}"
+    key = exc.args[0]
+    if key == "leaf":
+        return f"leaf value must be a finite number, got {nd[key]!r}"
+    want = {"default_left": "a bool", "left_cats": "a list of integers"}.get(key, "an integer")
+    return f"field {key!r} must be {want}, got {nd[key]!r}"
 
 
 def _route(col: np.ndarray, rows: np.ndarray | None,

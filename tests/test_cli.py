@@ -202,18 +202,19 @@ def test_calibrate_rejects_bad_distribution(tmp_path):
 
 
 @pytest.mark.parametrize("row, problem", [
-    ("1,abc", "non-numeric score 'abc'"),
-    ("1,nan", "non-finite score 'nan'"),
-    ("1", "expected 2 fields, got 1"),
+    ("1,abc", "row 3, column 'score': non-numeric token 'abc'"),
+    ("1,nan", "row 3, column 'score': non-finite target 'nan'"),
+    ("1", "row 3: expected 2 fields, got 1"),
 ])
 def test_calibrate_rejects_malformed_score_without_output(tmp_path, capsys, row, problem):
+    # the scores are read by the shared CSV decoder, so its messages are the ones reported
     scores = tmp_path / "scores.csv"
     scores.write_text(f"row_id,score\n0,0.5\n{row}\n2,0.7\n", encoding="utf-8")
     out = tmp_path / "t.json"
     code = main(["calibrate", "--data", str(scores),
                  "--target-dist", "0.25,0.5,0.25", "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {scores}: row 3: {problem}\n"
+    assert capsys.readouterr().err == f"error: {scores}: {problem}\n"
     assert not out.exists()
 
 
