@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BinnedDataset, FeatureBins, bin_matrix, read_json, write_json
+from .dataset import (CATEGORICAL, NUMERIC, BinnedDataset, FeatureBins, bin_matrix,
+                      read_json, write_json)
 from .errors import ValidationError, decoding, integer
 from .params import Params
 from .tree import GrowJob, Tree, grow_trees
@@ -126,10 +127,12 @@ class Model:
         """Decode a model bundle document.
 
         A missing field, a value that does not decode or is not a JSON
-        integer where one is due, a non-finite base score or bin edge, an
-        ``objective`` other than the params' own, or a bad tree (each checked
-        in one pass by :meth:`~fewboost.tree.Tree.from_dict`) raises
-        :class:`ValidationError` naming the part (``tree 3: node 5: ...``).
+        integer where one is due, a non-finite base score, a feature whose
+        binning fields disagree (see :func:`_check_bins`), an ``objective``
+        other than the params' own, or a bad tree (each checked in one pass
+        by :meth:`~fewboost.tree.Tree.from_dict`, a split's ``missing_bin``
+        against its feature's) raises :class:`ValidationError` naming the
+        part (``tree 3: node 5: ...``).
         """
         if not isinstance(d, dict) or d.get("format") != "fewboost-model":
             raise ValidationError("not a fewboost model document")
@@ -145,8 +148,7 @@ class Model:
                         edges=np.asarray(f["edges"], dtype=np.float64) if "edges" in f else None,
                         categories=tuple(f["categories"]) if "categories" in f else None,
                     )
-                if fb.edges is not None and not np.isfinite(fb.edges).all():
-                    raise ValidationError(f"feature {fb.name!r}: bin edges must be finite numbers")
+                    _check_bins(fb)
                 mapper.append(fb)
             with decoding("base_score"):
                 base_score = float(d["base_score"])
@@ -157,14 +159,43 @@ class Model:
             if d["objective"] != params.objective:
                 raise ValidationError(f"objective {d['objective']!r} is not the params' "
                                       f"objective {params.objective!r}")
-            trees = []
+            trees, missing_bins = [], [fb.missing_bin for fb in mapper]
             for i, t in enumerate(d["trees"]):
                 try:
-                    trees.append(Tree.from_dict(t, len(mapper)))
+                    trees.append(Tree.from_dict(t, missing_bins))
                 except ValidationError as exc:
                     raise ValidationError(f"tree {i}: {exc}") from exc
             return cls(trees=trees, base_score=base_score, objective=params.objective,
                        params=params, mapper=mapper)
+
+
+def _check_bins(fb: FeatureBins) -> None:
+    """Raise ValidationError unless a decoded feature's binning fields agree.
+
+    ``kind`` is numeric or categorical. A numeric feature has
+    ``n_real_bins - 1`` finite, strictly increasing ``edges`` (an absent
+    list holds none); a categorical one has ``n_real_bins`` categories, or
+    none and one bin.
+    """
+    if fb.kind == NUMERIC:
+        edges = np.empty(0) if fb.edges is None else fb.edges
+        if edges.ndim != 1 or edges.size != fb.n_real_bins - 1:
+            raise ValidationError(f"field 'edges' must be a list of n_real_bins - 1 = "
+                                  f"{fb.n_real_bins - 1} numbers, got {edges.size}")
+        if not np.isfinite(edges).all():
+            raise ValidationError("bin edges must be finite numbers")
+        if edges.size > 1 and not (edges[1:] > edges[:-1]).all():
+            at = int(np.argmin(edges[1:] > edges[:-1])) + 1
+            raise ValidationError(f"field 'edges' must be strictly increasing, got "
+                                  f"{edges[at]!r} after {edges[at - 1]!r} at entry {at}")
+    elif fb.kind == CATEGORICAL:
+        n = len(fb.categories or ())
+        if fb.n_real_bins != max(n, 1):
+            raise ValidationError(f"field 'categories' must hold n_real_bins = "
+                                  f"{fb.n_real_bins} names, got {n}")
+    else:
+        raise ValidationError(f"field 'kind' must be {NUMERIC!r} or {CATEGORICAL!r}, "
+                              f"got {fb.kind!r}")
 
 
 def check_trainable(bds: BinnedDataset, params: Params) -> None:

@@ -238,10 +238,15 @@ def open_csv(path) -> Iterator:
 
 
 def _read_header(path, reader) -> list[str]:
+    """The header row; a column named twice raises SchemaError, as no reader can pick one."""
     try:
-        return next(reader)
+        header = next(reader)
     except StopIteration:
         raise ParseError(f"{path}: file is empty, header row required") from None
+    if len(set(header)) < len(header):
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        raise SchemaError(f"{path}: CSV column name(s) repeated in the header: {repeated}")
+    return header
 
 
 def _decode(path, reader, header, columns, target_pos, *, grow):

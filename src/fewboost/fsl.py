@@ -235,7 +235,8 @@ def run_benchmark(ds: Dataset, shots: Sequence[int], seeds: Sequence[int],
     same splits. Every cell is sampled, binned and checked first, and the
     cells that pass train together in one
     :func:`~fewboost.booster.train_many` batch, presets mixed; the report
-    equals one built cell by cell with :func:`run_cell`.
+    equals one built cell by cell with :func:`run_cell`. An empty ``shots``
+    or ``seeds``, or one that repeats a value, raises ValidationError.
     """
     if not shots:
         raise ValidationError("shots must be non-empty")
@@ -244,6 +245,11 @@ def run_benchmark(ds: Dataset, shots: Sequence[int], seeds: Sequence[int],
     named = list(presets.items())
     shots = [int(k) for k in shots]
     seeds = [int(s) for s in seeds]
+    for name, values in (("shots", shots), ("seeds", seeds)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ValidationError(f"{name} must not repeat a value, "
+                                  f"got {repeated} more than once")
     # (preset position, k, seed) -> (AUC, error message)
     results: dict[tuple[int, int, int], tuple[float | None, str | None]] = {}
     ready, datasets, params_list = [], [], []

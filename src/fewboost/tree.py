@@ -23,24 +23,26 @@ and each scanned node writes its gradient, hessian and row-count histograms
 straight into its rows of it, one ``bincount`` per statistic over
 feature-offset bin ids of the node's own rows. Column ``missing_bin`` of a
 row holds its missing-value rows, and padded columns are never admissible.
-One fused pass scores every numeric boundary (a ``cumsum`` along the row)
-and every one-vs-other categorical split (the bin itself, for categorical
-features with at most their node's ``max_cat_to_onehot`` present
-categories) against each row's own leaf floor, in one buffer that holds
-every candidate with the missing rows sent right and, for the rows that hold
-missing rows, sent left as well. With more categories, the categories are
-ordered by their smoothed gradient/hessian ratio and each prefix of that
-order is a candidate left set. Selection is vectorised too, by a per-row mode: a greedy tree's rows
-take their first best candidate with one ``argmax``; an extra-trees tree's
-rows count their admissible boundaries, and all of that tree's rows of one
-step draw with a single ``rng.integers(0, sizes)``, which yields the same
-stream as one draw per row in node and feature order. Across a node's
-features the first strictly highest gain wins, among gains that are finite
-and positive. The public one-feature selectors (:func:`find_best_split`,
-:func:`extra_random_split`, :func:`categorical_split`) run the same scan on
-a one-row block. Every float sum is accumulated in the same order as a
-one-feature-at-a-time scan would (no histogram is derived by subtraction),
-so the trees do not depend on how many features or nodes share a scan.
+One fused pass scores every candidate of every row against the row's own
+leaf floor, in one buffer that holds every candidate with the missing rows
+sent right and, for the rows that hold missing rows, sent left as well. A
+numeric row's candidates are its boundaries (a ``cumsum`` along the row). A
+categorical row with at most its node's ``max_cat_to_onehot`` present
+categories has one-vs-other splits (the bin itself); one with more has
+prefix cuts: its categories are ordered by their smoothed gradient/hessian
+ratio, each prefix of that order is a left set, and ``cat_l2`` joins every
+hessian of the row. Selection is vectorised too, by a per-row mode: a greedy
+tree's rows take their first best candidate with one ``argmax``; an
+extra-trees tree's rows count their admissible boundaries or prefix cuts,
+and all of that tree's rows of one step draw with a single
+``rng.integers(0, sizes)``, which yields the same stream as one draw per row
+in node and feature order. Across a node's features the first strictly
+highest gain wins, among gains that are finite and positive. The public
+one-feature selectors (:func:`find_best_split`, :func:`extra_random_split`,
+:func:`categorical_split`) run the same scan on a one-row block. Every float
+sum is accumulated in the same order as a one-feature-at-a-time scan would
+(no histogram is derived by subtraction), so the trees do not depend on how
+many features or nodes share a scan.
 
 A boundary is admissible only when both children hold at least
 ``min_data_in_leaf`` rows. A node with fewer than ``2 * min_data_in_leaf``
@@ -138,7 +140,7 @@ def _score(g, h):
     return np.where(h > 0, g * g / h, np.where(g == 0, 0.0, np.inf))
 
 
-def _missing_left(sides, miss, total, running, out=None):
+def _missing_left(sides, miss, total, running, out):
     """The children of every candidate with its missing rows sent left, written to ``out``.
 
     ``sides`` stacks the left and right child of each candidate with the
@@ -149,7 +151,6 @@ def _missing_left(sides, miss, total, running, out=None):
     ``total - (left + miss)`` in the others: the two round differently, and
     each kind of row keeps its own formula.
     """
-    out = np.empty_like(sides) if out is None else out
     np.add(sides[0], miss, out=out[0])
     if running.all():
         np.subtract(sides[1], miss, out=out[1])
@@ -157,21 +158,38 @@ def _missing_left(sides, miss, total, running, out=None):
         np.subtract(total, out[0], out=out[1])
         if running.any():
             out[1][:, running] = sides[1][:, running] - miss[:, running]
-    return out
 
 
 def _gains(sides, parent, min_leaf):
     """Gain of every candidate from its children's sums, laid out as in :func:`_missing_left`.
 
-    The gain is the children score minus ``parent``. It is -inf where a
-    child holds fewer than ``min_leaf`` rows or the gain is NaN. Call under
+    Returns the gains and the mask of candidates with a child of fewer than
+    ``min_leaf`` rows. The gain is the children score minus ``parent``, and
+    -inf where that mask is set or the gain is NaN. Call under
     ``np.errstate``.
     """
     g, h, n = sides[:, 0], sides[:, 1], sides[:, 2]
     score = _score(g, h)
     gain = score[0] + score[1] - parent
-    gain[(n[0] < min_leaf) | (n[1] < min_leaf) | np.isnan(gain)] = -np.inf
-    return gain
+    unfit = (n[0] < min_leaf) | (n[1] < min_leaf)
+    gain[unfit | np.isnan(gain)] = -np.inf
+    return gain, unfit
+
+
+def _category_order(hist, k: int, params: Params) -> np.ndarray:
+    """The categories whose prefixes are a prefix-cut row's left sets, in order.
+
+    ``hist`` is the row's (3, width) gradient, hessian and row-count
+    histogram, with its missing-value rows in column ``k``. Categories
+    holding at least one and at least ``min_data_per_group`` rows are ordered
+    by the smoothed score ``sum_grad / (sum_hess + cat_smooth)``, ties by
+    category; the rest always route right. Call under ``np.errstate``.
+    """
+    grad, hess, count = hist[:, :k]
+    eligible = np.flatnonzero((count > 0) & (count >= params.min_data_per_group))
+    g, denom = grad[eligible], hess[eligible] + params.cat_smooth
+    signed_inf = np.where(g > 0, np.inf, np.where(g < 0, -np.inf, 0.0))
+    return eligible[np.argsort(np.where(denom > 0, g / denom, signed_inf), kind="stable")]
 
 
 # ---------------------------------------------------------------------------
@@ -221,28 +239,34 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
     Node ``j`` owns rows ``starts[j]:starts[j + 1]``, one per sampled feature
     in feature order, ``totals`` is the (3, nodes) array of every node's
     (sum_grad, sum_hess, n) and ``node_params[j]`` its tree's parameters,
-    whose categorical knobs its prefix cuts use. ``meta`` holds the rows'
+    whose categorical knobs its prefix-cut rows use. ``meta`` holds the rows'
     (feature, missing-value column, categorical flag, ``min_data_in_leaf``,
     ``max_cat_to_onehot``), one row of ``meta`` per field; the last two are
     the row's node's gates. ``hist`` is the (3, rows, width) block of
     gradient, hessian and row-count histograms; row ``r`` is feature
     ``features[r]``: real bins first, its missing-value rows in column
-    ``missing[r]``, zero padding after that. Numeric boundary ``d`` sends
-    real bins ``0..d`` left, and one-vs-other candidate ``d`` sends category
-    ``d`` alone left.
+    ``missing[r]``, zero padding after that.
 
-    Numeric and one-vs-other rows share one pass. Their left sums (a running
-    sum, or the bin itself) and right sums, with the missing rows sent right,
-    fill one buffer; the rows that hold missing rows append a copy with them
-    sent left (elsewhere both directions give the same sums), and every gain
-    of the buffer is scored at once. Inadmissible columns are masked once and
-    greedy rows take one ``argmax``.
+    Every row's candidates share one pass. Column ``d`` is a left set: real
+    bins ``0..d`` for a numeric row (a running sum), category ``d`` alone for
+    a categorical row with at most ``max_cat_to_onehot`` present categories
+    (the bin itself), and otherwise the first ``d + 1`` categories of
+    :func:`_category_order` (a prefix cut, each summed on its own, since a
+    running sum rounds differently from 8 categories on). The left and right
+    sums with the missing rows sent right fill one buffer; the rows that hold
+    missing rows append a copy with them sent left (elsewhere both directions
+    give the same sums). Prefix cuts then add ``cat_l2`` to every hessian of
+    their children and of their parent, and every gain of the buffer is
+    scored at once. Inadmissible columns are masked once and greedy rows take
+    one ``argmax``.
 
     ``draws`` lists ``(rng, lo, hi)`` for every extra-trees tree: the rows
     ``lo:hi`` belong to the tree drawing from ``rng``, and each of them with
-    an admissible numeric boundary or prefix cut draws one. Every other row
-    is greedy and keeps its first best candidate. One-vs-other categorical
-    splits are greedy in every row. Across a node's rows the first strictly
+    an admissible numeric boundary or prefix cut draws one. A boundary is
+    admissible with a non-NaN gain whose children hold ``min_data_in_leaf``
+    rows in one missing direction, a prefix cut on those row counts alone.
+    Every other row is greedy and keeps its first best candidate; one-vs-other
+    rows are greedy in every tree. Across a node's rows the first strictly
     highest gain wins (the missing rows go left on a tie), and a row's gain
     counts only if it is finite and positive.
     """
@@ -264,11 +288,15 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
     extra = np.zeros(n_rows, dtype=bool)  # rows of extra-trees trees
     for _, lo, hi in draws:
         extra[lo:hi] = True
-    drawing = numeric & extra
     one_hot = is_cat.copy()
     if is_cat.any():
         present = (hist[2, :, :-1] > 0) & (np.arange(width) < missing[:, None])
         one_hot &= present.sum(axis=1) <= max_onehot
+    prefix = is_cat & ~one_hot
+    drawing = extra & ~one_hot
+    # a numeric boundary needs a real bin on its right, and a prefix cut a category
+    limit = missing - numeric
+    orders = {}
 
     with np.errstate(divide="ignore", invalid="ignore"):
         parent = _score(total[0], total[1])
@@ -281,36 +309,43 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
         np.cumsum(hist[:, :, :-1], axis=2, out=right[0])
         if one_hot.any():
             right[0][:, one_hot] = hist[:, one_hot, :-1]
+        for r in np.flatnonzero(prefix).tolist():
+            order = _category_order(hist[:, r], int(missing[r]), node_params[node_of[r]])
+            orders[r], limit[r] = order, order.size
+            cats = hist[:, r].take(order, axis=1)  # C order: each row sums as a 1-D sum
+            for d in range(order.size):
+                right[0, :, r, d] = cats[:, :d + 1].sum(axis=1)
         np.subtract(total, right[0], out=right[1])
         if held.size:
-            _missing_left(right[:, :, held], miss[:, held], total[:, held], ~one_hot[held],
-                          out=sides[:, :, n_rows:])
-        gains = _gains(sides, parent[scored], min_leaf[scored])
+            _missing_left(right[:, :, held], miss[:, held], total[:, held], numeric[held],
+                          sides[:, :, n_rows:])
+        if orders:
+            l2 = np.zeros((n_rows, 1))
+            l2[list(orders), 0] = [node_params[node_of[r]].cat_l2 for r in orders]
+            sides[:, 1, prefix[scored]] += l2[scored][prefix[scored]]
+            parent[prefix] = _score(total[0, prefix], total[1, prefix] + l2[prefix])
+        gains, unfit = _gains(sides, parent[scored], min_leaf[scored])
         best = gains[:n_rows]
         if held.size:
             use_left = gains[n_rows:] >= best[held]
             best[held] = np.where(use_left, gains[n_rows:], best[held])
-        # a numeric boundary needs a real bin on its right, and a one-vs-other
-        # column must be a category present at the node
-        inadmissible = np.arange(width) >= (missing - numeric)[:, None]
+        # one-vs-other columns must be categories present at the node
+        inadmissible = np.arange(width) >= limit[:, None]
         if one_hot.any():
             inadmissible[one_hot] |= ~present[one_hot]
         best[inadmissible] = -np.inf
 
-        sizes = np.zeros(n_rows, dtype=np.int64)  # admissible draws per row
-        if draws:
-            admissible = best > -np.inf
-            sizes[drawing] = admissible[drawing].sum(axis=1)
-        prefix_rows = np.flatnonzero(is_cat & ~one_hot).tolist()
-        cuts = {}
-        for r in prefix_rows:
-            j = node_of[r]
-            cuts[r] = _prefix_cuts(hist[:, r], int(missing[r]), totals[:, j], node_params[j])
-            if extra[r] and cuts[r] is not None:
-                sizes[r] = cuts[r][4].size
-
+    sizes = np.zeros(n_rows, dtype=np.int64)  # admissible draws per row
     drawn = np.zeros(n_rows, dtype=np.int64)
     if draws:
+        admissible = best > -np.inf
+        cut = prefix & extra
+        if cut.any():
+            fits = ~unfit[:n_rows]
+            if held.size:
+                fits[held] |= ~unfit[n_rows:]
+            admissible[cut] = fits[cut] & ~inadmissible[cut]
+        sizes[drawing] = admissible[drawing].sum(axis=1)
         # one draw per tree over its rows with an admissible candidate
         nonzero = np.flatnonzero(sizes)
         bounds = np.searchsorted(nonzero, [d[1:] for d in draws]).tolist()
@@ -329,18 +364,6 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
     if held.size:
         default_left[held] = use_left[np.arange(held.size), pick[held]]
         n_left[held] += np.where(default_left[held], miss[2, held, 0], 0.0)
-    for r in prefix_rows:
-        gain[r] = -np.inf
-        if cuts[r] is None:
-            continue
-        cut_gain, cut_left, cut_n, _, admissible_cuts = cuts[r]
-        if not extra[r]:
-            p = int(np.argmax(cut_gain))
-        elif admissible_cuts.size:
-            p = int(admissible_cuts[drawn[r]])
-        else:
-            continue
-        pick[r], gain[r], default_left[r], n_left[r] = p, cut_gain[p], cut_left[p], cut_n[p]
 
     # first strictly highest finite positive gain per node: a padded argmax
     valid = np.where((gain > 0) & (gain < np.inf), gain, -np.inf)
@@ -356,56 +379,12 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
             pick[chosen].tolist(), default_left[chosen].tolist(), is_cat[chosen].tolist()):
         if not cat:
             cats = None
-        elif r in cuts:
-            cats = tuple(sorted(cuts[r][3][: d + 1].tolist()))
+        elif r in orders:
+            cats = tuple(sorted(orders[r][:d + 1].tolist()))
         else:
             cats = (d,)
         out[j] = SplitCandidate(f, g, nl, n - nl, left, None if cat else d, cats)
     return out
-
-
-def _prefix_cuts(hist, k: int, total, params: Params):
-    """Every prefix cut of one categorical histogram row, or None if none exists.
-
-    ``hist`` is the row's (3, width) gradient, hessian and row-count
-    histogram, with its missing-value rows in column ``k``, and ``total`` the
-    node's (sum_grad, sum_hess, n). Categories holding at least
-    ``min_data_per_group`` rows are ordered by the smoothed score
-    ``sum_grad / (sum_hess + cat_smooth)`` (ties by category); the rest
-    always route right. Prefix ``p`` of the order (the first ``p + 1``
-    categories) is a left set, scored with ``cat_l2`` added to every hessian.
-    Each prefix is summed on its own: a running sum rounds differently once a
-    prefix holds 8 or more categories. Returns each cut's gain,
-    ``default_left`` and left row count, the category order, and the cuts
-    admissible for a random draw (either missing direction passes the
-    row-count gate).
-    """
-    grad, hess, count = hist
-    eligible = np.flatnonzero((count[:k] > 0) & (count[:k] >= params.min_data_per_group))
-    if eligible.size == 0:
-        return None
-    g, denom = grad[eligible], hess[eligible] + params.cat_smooth
-    signed_inf = np.where(g > 0, np.inf, np.where(g < 0, -np.inf, 0.0))
-    ratio = np.where(denom > 0, g / denom, signed_inf)
-    order = eligible[np.argsort(ratio, kind="stable")]
-    prefixes = [order[:p] for p in range(1, order.size + 1)]
-    left = np.array([[grad[s].sum() for s in prefixes], [hess[s].sum() for s in prefixes],
-                     np.cumsum(count[order])])
-    total = total[:, None]
-    right_missing = np.array([left, total - left])
-    left_missing = _missing_left(right_missing, hist[:, k, None], total, np.zeros(1, dtype=bool))
-    l2 = params.cat_l2
-    parent = _score(total[0], total[1] + l2)
-    m = params.min_data_in_leaf
-    gains, admissible = [], np.zeros(order.size, dtype=bool)
-    for sides in (left_missing, right_missing):
-        sides[:, 1] += l2
-        gains.append(_gains(sides, parent, m))
-        admissible |= (sides[0, 2] >= m) & (sides[1, 2] >= m)
-    use_left = gains[0] >= gains[1]
-    n_left = np.where(use_left, left_missing[0, 2], right_missing[0, 2])
-    return (np.where(use_left, gains[0], gains[1]), use_left, n_left, order,
-            np.flatnonzero(admissible))
 
 
 # The one-feature selectors below stay public because bench/tracing.py wraps them by name.
@@ -458,7 +437,9 @@ def categorical_split(hist: FeatureHistogram, node: NodeStats, params: Params,
     always route right), and prefix cuts of the ordering are scanned with
     ``cat_l2`` added to each side's hessian denominator. When ``rng`` is
     given and ``extra_trees`` is on, the prefix cut is drawn uniformly from
-    the admissible ones instead of greedily maximized.
+    the admissible ones (both children hold ``min_data_in_leaf`` rows in
+    either missing direction, whatever the gain) instead of greedily
+    maximized.
     """
     if not hist.is_categorical:
         raise ValidationError("categorical_split requires a categorical feature histogram")
@@ -541,14 +522,15 @@ class Tree:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict, n_features: int) -> "Tree":
-        """Decode one bundle tree of a model with ``n_features`` features, or ValidationError.
+    def from_dict(cls, d: dict, missing_bins: Sequence[int]) -> "Tree":
+        """Decode one bundle tree of a model with these features' missing bins, or ValidationError.
 
         One pass builds and checks each node: integer fields and ``left_cats``
         entries must be JSON integers (not a bool, a float or a string),
-        ``default_left`` a bool, a leaf value a finite number and a split
-        feature below ``n_features``. A bad node's message names it by its
-        depth-first index, and its field; so does a tree too deep to recurse.
+        ``default_left`` a bool, a leaf value a finite number, and a split
+        feature one of ``missing_bins`` with its own ``missing_bin``. A bad
+        node's message names it by its depth-first index, and its field; so
+        does a tree too deep to recurse.
         """
         nodes: list[TreeNode] = []
 
@@ -586,9 +568,12 @@ class Tree:
                 left, right = nd["left"], nd["right"]
             except DECODE_ERRORS as exc:
                 raise ValidationError(f"node {nid}: {_node_fault(nd, exc)}") from exc
-            if not 0 <= feature < n_features:
+            if not 0 <= feature < len(missing_bins):
                 raise ValidationError(f"split feature {feature} is not one of the model's "
-                                      f"{n_features} features")
+                                      f"{len(missing_bins)} features")
+            if missing_bin != (want := missing_bins[feature]):
+                raise ValidationError(f"node {nid}: field 'missing_bin' must be {want}, "
+                                      f"feature {feature}'s missing bin, got {missing_bin}")
             # positional, in field order: keywords cost more per node
             node = TreeNode(0.0, count, feature, threshold_bin, cats, missing_bin, default_left)
             nodes.append(node)

@@ -167,6 +167,61 @@ def test_a_field_of_the_wrong_type_fails_to_load_naming_itself(tmp_path, bundles
         bundle.decode(doc)
 
 
+def _feature(doc, kind):
+    """The first feature of a model bundle ``doc`` of this kind."""
+    return next(f for f in doc["features"] if f["kind"] == kind)
+
+
+def _edges(doc):
+    return _feature(doc, "numeric")["edges"]
+
+
+@pytest.mark.parametrize("kind, break_it, message", [
+    ("fsl", lambda d: _set(_feature(d, "numeric"), "kind", "ordinal"),
+     r"feature \d+: field 'kind' must be 'numeric' or 'categorical', got 'ordinal'$"),
+    ("fsl", lambda d: _edges(d).reverse(),
+     r"feature \d+: field 'edges' must be strictly increasing, got \S+ after \S+ at entry 1$"),
+    ("default", lambda d: _set(_edges(d), 5, _edges(d)[4]),
+     r"feature \d+: field 'edges' must be strictly increasing, got (\S+) after \1 at entry 5$"),
+    ("default", lambda d: _edges(d).pop(),
+     r"feature \d+: field 'edges' must be a list of n_real_bins - 1 = \d+ numbers, got \d+$"),
+    ("fsl", lambda d: _feature(d, "categorical")["categories"].pop(),
+     r"feature \d+: field 'categories' must hold n_real_bins = 6 names, got 5$"),
+    ("fsl", lambda d: _set(_first_split(d), "missing_bin", _first_split(d)["missing_bin"] - 1),
+     r"tree \d+: node 0: field 'missing_bin' must be (\d+), feature \d+'s missing bin, "
+     r"got (?!\1)\d+$"),
+    ("pipeline", lambda d: _set(d["level0"][0]["model"]["features"][0], "kind", "text"),
+     r"level-0 entry 0: feature 0: field 'kind' must be 'numeric' or 'categorical', "
+     r"got 'text'$"),
+], ids=["kind", "edges-reversed", "edges-equal", "edges-short", "categories-short",
+        "missing_bin", "pipeline-kind"])
+def test_a_binning_field_that_disagrees_fails_to_load_naming_itself(tmp_path, bundles, kind,
+                                                                    break_it, message):
+    # each of these loaded without an error and moved the scores: a kind
+    # nothing bins by, edges searchsorted cannot use, a vocabulary shorter
+    # than the bins, a split whose missing rows never reach its missing bin
+    bundle = bundles[kind]
+    doc = json.loads(json.dumps(bundle.doc))
+    break_it(doc)
+    path, out = tmp_path / "bundle.json", tmp_path / "scores.csv"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError, match=message):
+        bundle.load(path)
+    with pytest.raises(ValidationError, match=message):
+        bundle.decode(doc)
+    code, err = _predict(bundle, path, out)
+    assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_categorical_feature_with_no_categories_and_one_bin_loads(bundles):
+    # binning gives a categorical column with no values one bin and no names
+    doc = json.loads(json.dumps(bundles["fsl"].doc))
+    _feature(doc, "categorical").update(categories=[], n_real_bins=1)
+    doc["trees"] = [{"num_leaves_used": 1, "root": {"leaf": 0.25, "count": 3}}]
+    assert Model.from_dict(doc).to_dict() == doc
+
+
 _NOT_AN_INTEGER = st.one_of(
     st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer()),
     st.booleans(),
@@ -227,10 +282,12 @@ def test_a_bundle_file_nested_too_deeply_fails_with_one_error_line(tmp_path, bun
 
 def test_a_bundle_document_nested_too_deeply_fails_to_decode(bundles):
     # the parsed document is built by a loop, so only the decoder could recurse
+    doc = bundles["fsl"].doc
     node = {"leaf": 0.0, "count": 1}
     for _ in range(DEPTH):
-        node = {"feature": 0, "count": 2, "default_left": False, "missing_bin": 2,
+        node = {"feature": 0, "count": 2, "default_left": False,
+                "missing_bin": doc["features"][0]["n_real_bins"],
                 "threshold_bin": 0, "left": node, "right": {"leaf": 0.0, "count": 1}}
-    doc = dict(bundles["fsl"].doc, trees=[{"num_leaves_used": DEPTH + 1, "root": node}])
+    doc = dict(doc, trees=[{"num_leaves_used": DEPTH + 1, "root": node}])
     with pytest.raises(ValidationError, match="^tree 0: .*RecursionError"):
         Model.from_dict(doc)

@@ -69,6 +69,16 @@ def test_bench_without_seeds_fails_without_output(tmp_path, binary_csv, capsys, 
     assert not out.exists() and not (tmp_path / "report.txt").exists()
 
 
+def test_bench_with_a_repeated_shot_count_fails_without_output(tmp_path, binary_csv, capsys):
+    data, schema = binary_csv
+    out = tmp_path / "report.json"
+    code = main(["bench", "--data", str(data), "--schema", str(schema),
+                 "--shots", "8,8", "--seeds", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: shots must not repeat a value, got 8 more than once\n"
+    assert not out.exists() and not (tmp_path / "report.txt").exists()
+
+
 def test_bench_partial_failure_exit_code(tmp_path, binary_csv):
     data, schema = binary_csv
     out = tmp_path / "report.json"
@@ -409,6 +419,31 @@ def test_a_malformed_csv_fails_with_one_error_line_and_no_output(tmp_path, binar
     assert main([command, "--data", str(bad), *args]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
     assert not out.exists() and not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_a_csv_that_repeats_a_column_name_fails_with_one_error_line_and_no_output(
+        tmp_path, binary_csv, capsys, command):
+    # a second x0 column (x1's values) was trained on as its own feature and
+    # scored from the first x0 column
+    data, schema = binary_csv
+    out = tmp_path / "out.json"
+    with open(data, encoding="utf-8", newline="") as fh:
+        rows = [row + [row[1]] for row in csv.reader(fh)]
+    rows[0][-1] = "x0"
+    bad = tmp_path / "bad.csv"
+    with open(bad, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    args = ["--schema", str(schema), "--out", str(out)]
+    if command == "predict":
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), *args[:2], "--out", str(model)]) == 0
+        args = ["--model", str(model), "--out", str(out)]
+    capsys.readouterr()
+    assert main([command, "--data", str(bad), *args]) == 1
+    assert capsys.readouterr().err == (f"error: {bad}: CSV column name(s) repeated in the "
+                                       f"header: ['x0']\n")
+    assert not out.exists()
 
 
 # --- JSON and bundle faults end in one error line ------------------------------

@@ -251,6 +251,17 @@ def test_encode_csv_needs_every_read_column(tmp_path):
         encode_csv(empty, _columns())
 
 
+def test_a_header_that_repeats_a_column_name_is_a_schema_error(tmp_path):
+    # load_csv kept both columns of a name and encode_csv read the first one
+    # twice, so a model trained on the second scored it from the first
+    path = _write(str(tmp_path), ["x", "c", "x", "y", "c"], [["1", "a", "2", "0", "b"]])
+    message = r"data\.csv: CSV column name\(s\) repeated in the header: \['c', 'x'\]$"
+    with pytest.raises(SchemaError, match=message):
+        load_csv(path, {"x": "numeric", "c": "categorical", "y": "target"})
+    with pytest.raises(SchemaError, match=message):
+        encode_csv(path, _columns())
+
+
 def test_encode_csv_of_a_header_only_file_has_no_rows(tmp_path):
     path = _write(str(tmp_path), ["x", "c"], [])
     x = encode_csv(path, _columns())

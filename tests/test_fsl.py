@@ -177,6 +177,17 @@ def test_benchmark_empty_seeds_rejected():
         run_benchmark(ds, shots=[8], seeds=[], presets={"fsl": fsl_preset()})
 
 
+@pytest.mark.parametrize("shots, seeds, message", [
+    ([8, 4, 8], [0, 1], "shots must not repeat a value, got 8 more than once$"),
+    ([8], [0, 0], "seeds must not repeat a value, got 0 more than once$"),
+])
+def test_benchmark_rejects_a_repeated_shot_count_or_seed(shots, seeds, message):
+    # a repeated value once gave one cell an AUC per repeat and a column per repeat
+    ds = make_synthetic_binary(n_rows=50, seed=5)
+    with pytest.raises(ValidationError, match=message):
+        run_benchmark(ds, shots=shots, seeds=seeds, presets={"fsl": fsl_preset()})
+
+
 def test_benchmark_report_serialization_and_text():
     ds = make_synthetic_binary(n_rows=100, seed=6)
     report = run_benchmark(ds, shots=[8, 16], seeds=[0, 1],

@@ -340,6 +340,64 @@ def test_categorical_unsplittable_when_gate_blocks():
     assert categorical_split(hist, stats, Params(min_data_in_leaf=2)) is None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # saturated sigmoids divide by ~0
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=500, deadline=None)
+def test_selectors_match_frozen_reference_gain_for_gain(seed):
+    # a tree records no gains, so the tree properties cannot see a gain that
+    # rounds differently; each selector's candidate, gain compared by ==,
+    # and its generator must equal the reference's on the same histogram
+    rng = np.random.default_rng(seed)
+    categorical = bool(rng.integers(2))
+    n = int(rng.integers(1, 80))
+    # 8 to 12 categories reach the prefixes whose running sums round differently
+    k = int(rng.integers(8, 13) if categorical else rng.integers(1, 13))
+    bds = _binned_from_bins([rng.integers(0, k + 1, size=n)],  # bin k is the missing bin
+                            kinds=["categorical" if categorical else "numeric"], n_real=[k])
+    y = rng.integers(0, 2, size=n).astype(float)
+    scores = rng.standard_normal(n) * float(rng.choice([0.5, 3.0, 40.0, 1000.0]))
+    grads = compute_gradients("binary-logloss", y, scores)
+    stats = NodeStats.from_rows(np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                   replace=False)), grads)
+    hist = build_histogram(bds, 0, stats, grads)
+    params = Params(min_data_in_leaf=int(rng.choice([1, 2, 3, 5])),
+                    extra_trees=bool(rng.integers(2)), max_cat_to_onehot=1,
+                    min_data_per_group=int(rng.choice([1, 2])), cat_l2=0.0,
+                    cat_smooth=float(rng.choice([0.0, 1.0, 10.0])))
+    tree_seed = int(rng.integers(2**32))
+    if categorical:
+        calls = [(categorical_split, reference_tree.categorical_split, True)]
+    else:
+        calls = [(find_best_split, reference_tree.find_best_split, False),
+                 (extra_random_split, reference_tree.extra_random_split, True)]
+    args = (hist, stats, params)
+    for selector, reference, draws in calls:
+        lib_rng, ref_rng = np.random.default_rng(tree_seed), np.random.default_rng(tree_seed)
+        got = selector(*args, lib_rng) if draws else selector(*args)
+        want = reference(*args, ref_rng) if draws else reference(*args)
+        assert got == want  # a SplitCandidate compares its gain by ==
+        assert lib_rng.random() == ref_rng.random()
+
+
+def test_a_prefix_cut_with_a_nan_gain_still_takes_part_in_the_draw():
+    # zero hessians and cat_l2 0 make every gain inf - inf = NaN; the prefix
+    # cuts still pass the row-count gate, so an extra-trees row draws among
+    # them (and then rejects the drawn NaN gain), unlike a numeric boundary
+    grads = _grads([1.0, -1.0, 2.0, -2.0, 0.5, 0.25], hess=[0.0] * 6)
+    hist, stats = _cat_hist([0, 0, 1, 1, 2, 2], grads, 3)
+    params = Params(min_data_in_leaf=1, extra_trees=True, max_cat_to_onehot=1,
+                    min_data_per_group=1, cat_l2=0.0)
+    lib_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    assert categorical_split(hist, stats, params, lib_rng) is None
+    assert reference_tree.categorical_split(hist, stats, params, ref_rng) is None
+    # both drew, and from the same state
+    assert lib_rng.random() == ref_rng.random() != np.random.default_rng(5).random()
+    numeric, stats = _hist_for([0, 0, 1, 1, 2, 2], grads, n_real=3)
+    untouched = np.random.default_rng(5)
+    assert extra_random_split(numeric, stats, params, untouched) is None
+    assert untouched.random() == np.random.default_rng(5).random()  # no boundary to draw
+
+
 # --- grow_tree ---------------------------------------------------------------
 
 
