@@ -85,20 +85,16 @@ class Model:
 
     trees: list[Tree]
     base_score: float
-    objective: str
     params: Params
     mapper: list[FeatureBins]
 
     @property
+    def objective(self) -> str:
+        return self.params.objective
+
+    @property
     def n_features(self) -> int:
         return len(self.mapper)
-
-    def raw_scores(self, rows: np.ndarray) -> np.ndarray:
-        bins = bin_matrix(self.mapper, np.asarray(rows, dtype=np.float64))
-        out = np.full(bins.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            out += self.params.eta * tree.predict_bins(bins)
-        return out
 
     def all_single_leaf(self) -> bool:
         return all(t.is_single_leaf for t in self.trees)
@@ -112,6 +108,12 @@ class Model:
             if fb.categories is not None:
                 d["categories"] = list(fb.categories)
             features.append(d)
+        trees = []
+        for i, t in enumerate(self.trees):
+            try:
+                trees.append(t.to_dict())
+            except RecursionError:
+                raise ValidationError(f"tree {i}: too deep to write as JSON") from None
         return {
             "format": "fewboost-model",
             "version": 1,
@@ -119,7 +121,7 @@ class Model:
             "base_score": self.base_score,
             "params": self.params.to_dict(),
             "features": features,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": trees,
         }
 
     @classmethod
@@ -165,8 +167,7 @@ class Model:
                     trees.append(Tree.from_dict(t, missing_bins))
                 except ValidationError as exc:
                     raise ValidationError(f"tree {i}: {exc}") from exc
-            return cls(trees=trees, base_score=base_score, objective=params.objective,
-                       params=params, mapper=mapper)
+            return cls(trees=trees, base_score=base_score, params=params, mapper=mapper)
 
 
 def _check_bins(fb: FeatureBins) -> None:
@@ -174,8 +175,8 @@ def _check_bins(fb: FeatureBins) -> None:
 
     ``kind`` is numeric or categorical. A numeric feature has
     ``n_real_bins - 1`` finite, strictly increasing ``edges`` (an absent
-    list holds none); a categorical one has ``n_real_bins`` categories, or
-    none and one bin.
+    list holds none); a categorical one has ``n_real_bins`` distinct string
+    categories, or none and one bin.
     """
     if fb.kind == NUMERIC:
         edges = np.empty(0) if fb.edges is None else fb.edges
@@ -189,10 +190,15 @@ def _check_bins(fb: FeatureBins) -> None:
             raise ValidationError(f"field 'edges' must be strictly increasing, got "
                                   f"{edges[at]!r} after {edges[at - 1]!r} at entry {at}")
     elif fb.kind == CATEGORICAL:
-        n = len(fb.categories or ())
-        if fb.n_real_bins != max(n, 1):
+        cats = fb.categories or ()
+        if fb.n_real_bins != max(len(cats), 1):
             raise ValidationError(f"field 'categories' must hold n_real_bins = "
-                                  f"{fb.n_real_bins} names, got {n}")
+                                  f"{fb.n_real_bins} names, got {len(cats)}")
+        if not {*map(type, cats)} <= {str} or len(set(cats)) < len(cats):
+            at, name = next((at, c) for at, c in enumerate(cats)
+                            if type(c) is not str or c in cats[:at])
+            raise ValidationError(f"field 'categories' must hold distinct strings, "
+                                  f"got {name!r} at entry {at}")
     else:
         raise ValidationError(f"field 'kind' must be {NUMERIC!r} or {CATEGORICAL!r}, "
                               f"got {fb.kind!r}")
@@ -252,8 +258,8 @@ class _Boosting:
         self.trees.append(tree)
 
     def model(self) -> Model:
-        return Model(trees=self.trees, base_score=self.base, objective=self.params.objective,
-                     params=self.params, mapper=list(self.bds.mapper))
+        return Model(trees=self.trees, base_score=self.base, params=self.params,
+                     mapper=list(self.bds.mapper))
 
 
 class _ScoreBuffer:
@@ -348,7 +354,10 @@ def predict(model: Model, rows) -> np.ndarray:
         raise ValidationError(
             f"row arity {rows.shape[1]} does not match the model's {model.n_features} features"
         )
-    raw = model.raw_scores(rows)
+    bins = bin_matrix(model.mapper, rows)
+    raw = np.full(bins.shape[0], model.base_score, dtype=np.float64)
+    for tree in model.trees:
+        raw += model.params.eta * tree.predict_bins(bins)
     if model.objective == "binary-logloss":
         return np.clip(_sigmoid(raw), 1e-15, 1.0 - 1e-15)
     return raw

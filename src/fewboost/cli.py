@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 
 from .booster import Model, load_model, predict, save_model, train
-from .dataset import (bin_features, encode_csv, load_csv, load_schema, open_csv, read_json,
-                      write_json)
+from .dataset import bin_features, encode_csv, load_csv, open_csv, read_json, write_json
 from .errors import FewboostError, ValidationError
 from .fsl import default_preset, fsl_preset, run_benchmark
 from .params import Params
@@ -41,12 +41,10 @@ def _resolve_params(args) -> Params:
         base = fsl_preset()
     elif args.preset == "default":
         base = default_preset()
-    elif args.preset == "file":
+    else:  # "file"
         if not args.params:
             raise ValidationError("--preset file requires --params <file>")
         base = default_preset()
-    else:
-        raise ValidationError(f"unknown preset {args.preset!r}")
     if args.params:
         base = Params.from_dict(read_json(args.params), base=base)
     return base
@@ -74,8 +72,7 @@ def _parse_target_dist(text: str) -> dict[str, float]:
 
 
 def cmd_bench(args) -> int:
-    schema = load_schema(args.schema)
-    ds = load_csv(args.data, schema)
+    ds = load_csv(args.data, args.schema)
     params = _resolve_params(args)
     shots = _parse_shots(args.shots)
     seeds = list(range(args.seed, args.seed + args.seeds))
@@ -90,8 +87,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    schema = load_schema(args.schema)
-    ds = load_csv(args.data, schema)
+    ds = load_csv(args.data, args.schema)
     params = _resolve_params(args)
     if args.seed is not None:
         params = Params.from_dict({"seed": args.seed}, base=params)
@@ -118,27 +114,24 @@ def _load_bundle(path: str):
 def cmd_predict(args) -> int:
     bundle = _load_bundle(args.model)
     if isinstance(bundle, Model):
-        scores = predict(bundle, encode_csv(args.data, bundle.mapper))
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_id", "score"])
-            # csv writes a float as its repr
-            writer.writerows(enumerate(scores.tolist()))
+        header = ["row_id", "score"]
+        columns = [predict(bundle, encode_csv(args.data, bundle.mapper)).tolist()]
     else:
         # columns by name against the level-0 vocabularies; --schema is not needed
         scores = bundle.predict_score(encode_csv(args.data, bundle.feature_columns()))
-        actions = bundle.thresholds.apply(scores)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_id", "blended_score", "action"])
-            writer.writerows(zip(range(scores.size), scores.tolist(), actions.tolist()))
+        header = ["row_id", "blended_score", "action"]
+        columns = [scores.tolist(), bundle.thresholds.apply(scores).tolist()]
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        # csv writes a float as its repr
+        writer.writerows(zip(itertools.count(), *columns))
     print(f"wrote predictions to {args.out}")
     return 0
 
 
 def cmd_stack(args) -> int:
-    schema = load_schema(args.schema)
-    ds = load_csv(args.data, schema)
+    ds = load_csv(args.data, args.schema)
     params = _resolve_params(args)
     if params.objective != "mse":
         params = Params.from_dict({"objective": "mse"}, base=params)
@@ -168,13 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fewboost")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, schema=True, preset="default"):
+    def add_common(p, preset="default"):
         p.add_argument("--data", required=True, help="input CSV path")
-        if schema:
-            p.add_argument("--schema", required=True, help="JSON column-type schema")
-        if preset:
-            p.add_argument("--preset", default=preset, choices=["default", "fsl", "file"])
-            p.add_argument("--params", default=None, help="JSON parameter overrides")
+        p.add_argument("--schema", required=True, help="JSON column-type schema")
+        p.add_argument("--preset", default=preset, choices=["default", "fsl", "file"])
+        p.add_argument("--params", default=None, help="JSON parameter overrides")
 
     p = sub.add_parser("bench", help="k-shot AUC benchmark grid")
     add_common(p)
@@ -220,10 +211,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FewboostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FewboostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

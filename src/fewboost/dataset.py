@@ -114,10 +114,16 @@ def read_json(path):
 
 
 def write_json(path, doc) -> None:
-    """Write every JSON file (bundle, report, thresholds): UTF-8, 2-space indent, final newline."""
+    """Write every JSON file (bundle, report, thresholds): UTF-8, 2-space indent, final newline.
+
+    The document is encoded before the file is opened, so one that does not encode leaves no file.
+    """
+    try:
+        text = json.dumps(doc, indent=2)
+    except RecursionError:
+        raise ValidationError(f"{path}: nested too deeply to write as JSON") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_schema(path) -> dict[str, str]:
@@ -415,9 +421,6 @@ class BinnedDataset:
     mapper: list[FeatureBins]
     bins: np.ndarray  # (n_rows, n_features) uint32
     target: np.ndarray | None
-    max_bin: int
-    min_data_in_bin: int
-    name: str = "data"
 
     @property
     def n_rows(self) -> int:
@@ -426,14 +429,6 @@ class BinnedDataset:
     @property
     def n_features(self) -> int:
         return int(self.bins.shape[1])
-
-    @property
-    def feature_names(self) -> list[str]:
-        return [fb.name for fb in self.mapper]
-
-    @property
-    def kinds(self) -> list[str]:
-        return [fb.kind for fb in self.mapper]
 
     @cached_property
     def scan_fields(self) -> np.ndarray:
@@ -504,11 +499,9 @@ def bin_features(ds: Dataset, max_bin: int, min_data_in_bin: int) -> BinnedDatas
     if min_data_in_bin < 1:
         raise ValidationError("min_data_in_bin must be >= 1")
     mapper: list[FeatureBins] = []
-    cols: list[np.ndarray] = []
     for j in range(ds.n_features):
-        col = ds.values[:, j]
         if ds.kinds[j] == NUMERIC:
-            edges = _bin_numeric_feature(col, max_bin, min_data_in_bin)
+            edges = _bin_numeric_feature(ds.values[:, j], max_bin, min_data_in_bin)
             fb = FeatureBins(
                 name=ds.feature_names[j], kind=NUMERIC,
                 n_real_bins=len(edges) + 1, edges=edges,
@@ -520,12 +513,9 @@ def bin_features(ds: Dataset, max_bin: int, min_data_in_bin: int) -> BinnedDatas
                 n_real_bins=max(1, len(cats)), categories=cats,
             )
         mapper.append(fb)
-        cols.append(fb.bin_values(col))
-    bins = np.column_stack(cols) if cols else np.empty((ds.n_rows, 0), dtype=np.uint32)
     return BinnedDataset(
-        mapper=mapper, bins=bins,
+        mapper=mapper, bins=bin_matrix(mapper, ds.values),
         target=None if ds.target is None else ds.target.copy(),
-        max_bin=max_bin, min_data_in_bin=min_data_in_bin, name=ds.name,
     )
 
 

@@ -139,13 +139,8 @@ def train_level0(ds: Dataset, configs: Sequence[Level0Config]) -> Level0Result:
 
     fits = [Level0Fit(config=cfg, model=model)
             for cfg, model in zip(configs, train_many(datasets, params_list))]
-    meta_cols = [predict(fit.model, ds.values[np.ix_(meta_indices, fit.config.feature_set)])
-                 for fit in fits]
-    return Level0Result(
-        fits=fits,
-        meta_features=np.column_stack(meta_cols),
-        meta_indices=meta_indices,
-    )
+    return Level0Result(fits=fits, meta_features=level0_predictions(fits, ds.values[meta_indices]),
+                        meta_indices=meta_indices)
 
 
 def level0_predictions(fits: Sequence[Level0Fit], rows: np.ndarray) -> np.ndarray:
@@ -163,6 +158,8 @@ class ActionThresholds:
     t_high: float
 
     def __post_init__(self) -> None:
+        if np.isnan(self.t_low) or np.isnan(self.t_high):
+            raise ValidationError(f"thresholds must not be NaN, got {self.t_low}, {self.t_high}")
         if self.t_low > self.t_high:
             raise ValidationError(
                 f"t_low {self.t_low} must not exceed t_high {self.t_high}")
@@ -172,15 +169,20 @@ class ActionThresholds:
         return np.where(s < self.t_low, -1, np.where(s > self.t_high, 1, 0)).astype(np.int64)
 
     def to_dict(self) -> dict:
-        """The cutpoints as JSON numbers; an infinite one is written as null."""
-        return {"t_low": None if np.isinf(self.t_low) else float(self.t_low),
-                "t_high": None if np.isinf(self.t_high) else float(self.t_high)}
+        """The cutpoints; null is the infinity that turns an action off (see :func:`_number`)."""
+        return {"t_low": None if self.t_low == -np.inf else _number(self.t_low),
+                "t_high": None if self.t_high == np.inf else _number(self.t_high)}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ActionThresholds":
         """Decode :meth:`to_dict`'s form: a null ``t_low`` is -inf, a null ``t_high`` +inf."""
         return cls(t_low=-np.inf if d["t_low"] is None else float(d["t_low"]),
                    t_high=np.inf if d["t_high"] is None else float(d["t_high"]))
+
+
+def _number(t: float) -> float | str:
+    """A threshold as JSON: the number, or ``"inf"``/``"-inf"`` to act on every row."""
+    return str(float(t)) if np.isinf(t) else float(t)
 
 
 def _check_target_dist(target_dist: Mapping[str, float]) -> tuple[float, float, float]:
@@ -266,23 +268,27 @@ class StackingPipeline:
 
     def to_dict(self) -> dict:
         mlp = isinstance(self.blender, MLP)
+        level0 = []
+        for k, fit in enumerate(self.fits):
+            try:
+                model = fit.model.to_dict()
+            except ValidationError as exc:
+                raise ValidationError(f"level-0 entry {k}: {exc}") from exc
+            level0.append({
+                "name": fit.config.name,
+                "feature_set": list(fit.config.feature_set),
+                "winsor_quantiles": (
+                    None if fit.config.winsor_quantiles is None
+                    else list(fit.config.winsor_quantiles)
+                ),
+                "shot_indices": [int(i) for i in fit.config.shot_indices],
+                "params": fit.config.params.to_dict(),
+                "model": model,
+            })
         return {
             "format": "fewboost-pipeline",
             "version": 1 if mlp else 2,
-            "level0": [
-                {
-                    "name": fit.config.name,
-                    "feature_set": list(fit.config.feature_set),
-                    "winsor_quantiles": (
-                        None if fit.config.winsor_quantiles is None
-                        else list(fit.config.winsor_quantiles)
-                    ),
-                    "shot_indices": [int(i) for i in fit.config.shot_indices],
-                    "params": fit.config.params.to_dict(),
-                    "model": fit.model.to_dict(),
-                }
-                for fit in self.fits
-            ],
+            "level0": level0,
             "mlp" if mlp else "blender": self.blender.to_dict(),
             "thresholds": self.thresholds.to_dict(),
         }
@@ -295,11 +301,15 @@ class StackingPipeline:
         or ``shot_indices`` entry that is not a JSON integer raises
         :class:`ValidationError` naming the part that is bad (``level-0
         entry 2: field 'shot_indices' entry 5 ...``), as a bad level-0 model
-        does (``level-0 entry 2: tree 3: ...``). The thresholds decode
-        through :meth:`ActionThresholds.from_dict`.
+        does (``level-0 entry 2: tree 3: ...``). Version 1 holds an ``mlp``
+        blender, version 2 a ``blender``. The thresholds decode through
+        :meth:`ActionThresholds.from_dict`, and the columns must pass :meth:`feature_columns`.
         """
         if not isinstance(d, dict) or d.get("format") != "fewboost-pipeline":
             raise ValidationError("not a fewboost pipeline document")
+        version = d.get("version")
+        if type(version) is not int or version not in (1, 2):
+            raise ValidationError(f"unsupported pipeline version {version!r}")
         with decoding():
             fits = []
             for k, entry in enumerate(d["level0"]):
@@ -317,11 +327,13 @@ class StackingPipeline:
                     )
                     fits.append(Level0Fit(config=cfg, model=Model.from_dict(entry["model"])))
             with decoding("blender"):
-                blender = (MLP.from_dict(d["mlp"]) if "mlp" in d
+                blender = (MLP.from_dict(d["mlp"]) if version == 1
                            else LinearBlender.from_dict(d["blender"]))
             with decoding("thresholds"):
                 thresholds = ActionThresholds.from_dict(d["thresholds"])
-            return cls(fits=fits, blender=blender, thresholds=thresholds)
+        pipeline = cls(fits=fits, blender=blender, thresholds=thresholds)
+        pipeline.feature_columns()
+        return pipeline
 
 
 def save_pipeline(pipeline: StackingPipeline, path) -> None:

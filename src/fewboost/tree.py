@@ -239,10 +239,9 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
     Node ``j`` owns rows ``starts[j]:starts[j + 1]``, one per sampled feature
     in feature order, ``totals`` is the (3, nodes) array of every node's
     (sum_grad, sum_hess, n) and ``node_params[j]`` its tree's parameters,
-    whose categorical knobs its prefix-cut rows use. ``meta`` holds the rows'
-    (feature, missing-value column, categorical flag, ``min_data_in_leaf``,
-    ``max_cat_to_onehot``), one row of ``meta`` per field; the last two are
-    the row's node's gates. ``hist`` is the (3, rows, width) block of
+    whose leaf floor, one-vs-other limit and categorical knobs its rows use.
+    ``meta`` holds the rows' (feature, missing-value column, categorical
+    flag), one row of ``meta`` per field. ``hist`` is the (3, rows, width) block of
     gradient, hessian and row-count histograms; row ``r`` is feature
     ``features[r]``: real bins first, its missing-value rows in column
     ``missing[r]``, zero padding after that.
@@ -275,13 +274,13 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
     width = hist.shape[2] - 1  # the last column is no row's left set
     if width < 1:  # no feature has a real bin
         return [None] * n_nodes
-    features, missing, is_cat, min_leaf, max_onehot = meta
+    features, missing, is_cat = meta
     is_cat = is_cat.astype(bool)
-    min_leaf = min_leaf[:, None]
     n_rows = features.size
     rows = np.arange(n_rows)
     node_size = starts[1:] - starts[:-1]
     node_of = np.repeat(np.arange(n_nodes), node_size)
+    min_leaf = np.array([p.min_data_in_leaf for p in node_params])[node_of, None]
     total = totals[:, node_of, None]
     miss = hist[:, rows, missing][:, :, None]
     numeric = ~is_cat
@@ -291,6 +290,7 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
     one_hot = is_cat.copy()
     if is_cat.any():
         present = (hist[2, :, :-1] > 0) & (np.arange(width) < missing[:, None])
+        max_onehot = np.array([p.max_cat_to_onehot for p in node_params])[node_of]
         one_hot &= present.sum(axis=1) <= max_onehot
     prefix = is_cat & ~one_hot
     drawing = extra & ~one_hot
@@ -391,8 +391,7 @@ def _best_splits(meta, hist, totals, starts, node_params: Sequence[Params],
 def _one_feature(hist: FeatureHistogram, node: NodeStats, params: Params,
                  rng: np.random.Generator | None) -> SplitCandidate | None:
     """The node scan over a single feature's histogram."""
-    meta = np.array([[hist.feature], [hist.missing_bin], [hist.is_categorical],
-                     [params.min_data_in_leaf], [params.max_cat_to_onehot]], dtype=np.intp)
+    meta = np.array([[hist.feature], [hist.missing_bin], [hist.is_categorical]], dtype=np.intp)
     block = np.array([hist.sum_grad, hist.sum_hess, hist.count], dtype=np.float64)[:, None]
     return _best_splits(meta, block, np.array([[node.sum_grad], [node.sum_hess], [node.n]]),
                         [0, 1], [params], [] if rng is None else [(rng, 0, 1)])[0]
@@ -669,11 +668,8 @@ class _Grower:
         self.bds, self.grads, self.rng, self.params = job.bds, job.grads, job.rng, job.params
         features = np.sort(np.asarray(job.feature_subset, dtype=np.intp))
         # the scan's per-feature row fields, as _best_splits reads them
-        self.meta = np.empty((5, features.size), dtype=np.intp)
-        self.meta[0] = self.features = features
-        self.meta[1:3] = self.bds.scan_fields[:, features]
-        self.meta[3] = self.params.min_data_in_leaf
-        self.meta[4] = self.params.max_cat_to_onehot
+        self.features = features
+        self.meta = np.vstack([features, self.bds.scan_fields[:, features]])
         self.width = int(self.meta[1].max()) + 1 if features.size else 0
         self.offset_bins: np.ndarray | None = None  # built at the tree's first scanned node
         self.root = NodeStats.from_rows(row_set, self.grads)
@@ -734,7 +730,7 @@ def _scan(pending: list[tuple[_Grower, int, NodeStats]],
     if not scanned:
         return out
     # each scanned node's rows of the step's meta, totals and (3, rows, width) histogram block
-    meta = np.empty((5, starts[-1]), dtype=np.intp)
+    meta = np.empty((3, starts[-1]), dtype=np.intp)
     totals = np.empty((3, len(scanned)))
     hist = np.empty((3, starts[-1] * width))
     for j, i in enumerate(scanned):

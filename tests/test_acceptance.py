@@ -146,7 +146,7 @@ def test_criterion_4_split_oracle():
         bds = BinnedDataset(mapper=mapper,
                             bins=np.column_stack([b.astype(np.uint32)
                                                   for b in bins_by_feature]),
-                            target=None, max_bin=255, min_data_in_bin=1)
+                            target=None)
         stats = NodeStats.from_rows(np.arange(n), grads)
         params = Params(min_data_in_leaf=min_leaf)
         best = None
@@ -183,7 +183,7 @@ def test_criterion_5_unit_gain_instance():
                           edges=np.arange(1.0, 6.0))]
     bds = BinnedDataset(mapper=mapper,
                         bins=np.arange(6, dtype=np.uint32).reshape(-1, 1),
-                        target=None, max_bin=255, min_data_in_bin=1)
+                        target=None)
     stats = NodeStats.from_rows(np.arange(6), grads)
     hist = build_histogram(bds, 0, stats, grads)
     params = Params(min_data_in_leaf=1)

@@ -127,7 +127,6 @@ def test_shrinkage_linearity():
                     min_data_in_leaf=1)
     model = train(bin_features(ds, params.max_bin, params.min_data_in_bin), params)
     doubled = Model(trees=model.trees, base_score=model.base_score,
-                    objective=model.objective,
                     params=dataclasses.replace(model.params, eta=0.6),
                     mapper=model.mapper)
     d1 = predict(model, ds.values) - model.base_score

@@ -5,7 +5,8 @@ tests break one field of a trained bundle at a time, by hand and as a
 hypothesis property, and check that loading it raises ``ValidationError``
 naming the part and the field, through the Python API and ``fewboost
 predict`` alike; and that a bundle nested deeper than the recursion limit
-ends in ``ParseError`` or ``ValidationError``, never ``RecursionError``.
+ends in ``ParseError`` or ``ValidationError``, never ``RecursionError``,
+and a tree that deep saves no file.
 """
 
 import contextlib
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 
 from fewboost.booster import Model, load_model, save_model, train
 from fewboost.cli import main
-from fewboost.dataset import bin_features, write_csv
+from fewboost.dataset import bin_features, write_csv, write_json
 from fewboost.errors import ParseError, ValidationError
 from fewboost.fsl import default_preset, fsl_preset
 from fewboost.stacking import (StackingPipeline, fit_stacking, load_pipeline, make_default_zoo,
                                save_pipeline)
 from fewboost.synth import make_synthetic_stock
+from fewboost.tree import Tree, TreeNode
 
 DEPTH = 1200  # deeper than Python's default recursion limit of 1000
 
@@ -176,6 +178,19 @@ def _edges(doc):
     return _feature(doc, "numeric")["edges"]
 
 
+def _categories(doc):
+    return _feature(doc, "categorical")["categories"]
+
+
+def _disagree(doc):
+    """Reverse the categories of one level-0 model's column that an earlier model also reads."""
+    first = doc["level0"][0]
+    at = next(i for i, f in enumerate(first["model"]["features"]) if f["kind"] == "categorical")
+    column = first["feature_set"][at]
+    entry = next(e for e in doc["level0"][1:] if column in e["feature_set"])
+    entry["model"]["features"][entry["feature_set"].index(column)]["categories"].reverse()
+
+
 @pytest.mark.parametrize("kind, break_it, message", [
     ("fsl", lambda d: _set(_feature(d, "numeric"), "kind", "ordinal"),
      r"feature \d+: field 'kind' must be 'numeric' or 'categorical', got 'ordinal'$"),
@@ -193,13 +208,23 @@ def _edges(doc):
     ("pipeline", lambda d: _set(d["level0"][0]["model"]["features"][0], "kind", "text"),
      r"level-0 entry 0: feature 0: field 'kind' must be 'numeric' or 'categorical', "
      r"got 'text'$"),
+    ("fsl", lambda d: _set(_categories(d), 1, _categories(d)[0]),
+     r"feature \d+: field 'categories' must hold distinct strings, got 'G\d' at entry 1$"),
+    ("fsl", lambda d: _set(_feature(d, "categorical"), "categories", list(range(6))),
+     r"feature \d+: field 'categories' must hold distinct strings, got 0 at entry 0$"),
+    ("pipeline", _disagree,
+     r"^level-0 models disagree on the name, kind or categories of input column \d+ "
+     r"\('Group'\)$"),
 ], ids=["kind", "edges-reversed", "edges-equal", "edges-short", "categories-short",
-        "missing_bin", "pipeline-kind"])
+        "missing_bin", "pipeline-kind", "categories-repeated", "categories-not-strings",
+        "pipeline-columns"])
 def test_a_binning_field_that_disagrees_fails_to_load_naming_itself(tmp_path, bundles, kind,
                                                                     break_it, message):
     # each of these loaded without an error and moved the scores: a kind
     # nothing bins by, edges searchsorted cannot use, a vocabulary shorter
-    # than the bins, a split whose missing rows never reach its missing bin
+    # than the bins, a split whose missing rows never reach its missing bin,
+    # a vocabulary that codes a file's cells to the wrong bin or to missing,
+    # level-0 models that code one column two ways
     bundle = bundles[kind]
     doc = json.loads(json.dumps(bundle.doc))
     break_it(doc)
@@ -291,3 +316,40 @@ def test_a_bundle_document_nested_too_deeply_fails_to_decode(bundles):
     doc = dict(doc, trees=[{"num_leaves_used": DEPTH + 1, "root": node}])
     with pytest.raises(ValidationError, match="^tree 0: .*RecursionError"):
         Model.from_dict(doc)
+
+
+def _deep_tree(depth: int, missing_bin: int) -> Tree:
+    """A ``depth``-deep chain of splits on feature 0, each with a leaf on its right."""
+    nodes = []
+    for level in range(depth):
+        nodes.append(TreeNode(0.0, 2, 0, 0, None, missing_bin, False, 2 * level + 2,
+                              2 * level + 1))
+        nodes.append(TreeNode(0.0, 1))
+    nodes.append(TreeNode(0.0, 1))
+    return Tree(nodes=nodes, num_leaves_used=depth + 1)
+
+
+@pytest.mark.parametrize("kind, save, prefix", [
+    ("fsl", save_model, ""),
+    ("pipeline", save_pipeline, "level-0 entry 1: "),
+])
+def test_a_tree_too_deep_for_json_fails_to_save_and_leaves_no_file(tmp_path, bundles, kind,
+                                                                    save, prefix):
+    bundle = bundles[kind]
+    loaded = bundle.load(bundle.path)
+    model = loaded if kind == "fsl" else loaded.fits[1].model
+    model.trees[2] = _deep_tree(DEPTH, model.mapper[0].missing_bin)
+    path = tmp_path / "deep.json"
+    with pytest.raises(ValidationError, match=f"^{prefix}tree 2: too deep to write as JSON"):
+        save(loaded, path)
+    assert not path.exists()
+
+
+def test_a_document_too_deep_for_json_is_not_written(tmp_path):
+    node: dict = {}
+    for _ in range(DEPTH):
+        node = {"left": node}
+    path = tmp_path / "deep.json"
+    with pytest.raises(ValidationError, match="nested too deeply to write as JSON$"):
+        write_json(path, node)
+    assert not path.exists()

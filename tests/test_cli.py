@@ -379,8 +379,8 @@ def test_predict_rejects_a_pipeline_whose_models_disagree_on_a_column(tmp_path, 
     assert main(["predict", "--model", str(bundle), "--data", str(tmp_path / "rows.csv"),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: level-0 models disagree on the name, kind or categories of input column "
-        f"{ds.n_features - 1} ('Group')\n")
+        f"error: {bundle}: level-0 models disagree on the name, kind or categories of input "
+        f"column {ds.n_features - 1} ('Group')\n")
     assert not out.exists()
 
 

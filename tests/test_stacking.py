@@ -363,6 +363,9 @@ def _first_split(entry):
     (lambda d: d["blender"].pop("weights"), "^blender: missing field 'weights'$"),
     (lambda d: d["thresholds"].__setitem__("t_low", "x"), "^thresholds: ValueError"),
     (lambda d: d.__setitem__("level0", 7), "^TypeError"),
+    (lambda d: d.__setitem__("version", 7), "^unsupported pipeline version 7$"),
+    (lambda d: d.__setitem__("version", True), "^unsupported pipeline version True$"),
+    (lambda d: d.__setitem__("version", 1), "^blender: missing field 'mlp'$"),
 ])
 def test_load_pipeline_names_what_does_not_decode(tmp_path, pipeline_doc, break_it, message):
     # a missing level-0 list, a bad level-0 model or a bad blender raises
@@ -375,6 +378,37 @@ def test_load_pipeline_names_what_does_not_decode(tmp_path, pipeline_doc, break_
         load_pipeline(path)
     with pytest.raises(ValidationError, match=message):
         stacking.StackingPipeline.from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [{"t_low": float("nan"), "t_high": 1.0},
+                                 {"t_low": None, "t_high": float("nan")},
+                                 {"t_low": "nan", "t_high": None}])
+def test_thresholds_reject_nan(doc):
+    # a NaN t_low compares false with every score, so nothing would ever sell
+    with pytest.raises(ValidationError, match="thresholds must not be NaN"):
+        ActionThresholds.from_dict(doc)
+
+
+@pytest.mark.parametrize("dist, actions, doc", [
+    ({"sell": 1.0, "hold": 0.0, "buy": 0.0}, [-1, -1, -1], {"t_low": "inf", "t_high": None}),
+    ({"sell": 0.0, "hold": 0.0, "buy": 1.0}, [1, 1, 1], {"t_low": None, "t_high": "-inf"}),
+], ids=["sell-all", "buy-all"])
+def test_thresholds_that_act_on_every_row_survive_a_save(tmp_path, pipeline_doc, dist, actions,
+                                                         doc):
+    thresholds = calibrate_thresholds([1.0, 2.0, 3.0], dist)
+    assert list(thresholds.apply([1.0, 2.0, 3.0])) == actions
+    assert thresholds.to_dict() == doc
+    assert ActionThresholds.from_dict(doc) == thresholds
+    # null keeps its meaning: the infinity that turns an action off
+    assert ActionThresholds.from_dict({"t_low": None, "t_high": None}) == ActionThresholds(
+        -np.inf, np.inf)
+    pipeline = stacking.StackingPipeline.from_dict(pipeline_doc)
+    pipeline.thresholds = thresholds
+    path = tmp_path / "pipeline.json"
+    save_pipeline(pipeline, path)
+    json.loads(path.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+    rows = make_synthetic_stock(n_rows=50, seed=1).values
+    assert set(load_pipeline(path).predict_actions(rows).tolist()) == {actions[0]}
 
 
 def test_pipeline_writes_nothing_to_stdout_and_scores_are_finite(capsys, monkeypatch):

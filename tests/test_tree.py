@@ -33,8 +33,7 @@ def _binned_from_bins(bins_by_feature, kinds=None, n_real=None):
         else:
             mapper.append(FeatureBins(name=f"f{j}", kind="categorical", n_real_bins=k,
                                       categories=tuple(f"c{i}" for i in range(k))))
-    return BinnedDataset(mapper=mapper, bins=bins, target=None,
-                         max_bin=255, min_data_in_bin=1)
+    return BinnedDataset(mapper=mapper, bins=bins, target=None)
 
 
 def _grads(grad, hess=None):
@@ -477,8 +476,7 @@ def test_missing_rows_follow_learned_default_direction():
     bins = np.array([0, 0, 0, 1, 1, 1, 2, 2], dtype=np.uint32)  # bin 2 = missing
     mapper = [FeatureBins(name="f0", kind="numeric", n_real_bins=2,
                           edges=np.array([0.5]))]
-    bds = BinnedDataset(mapper=mapper, bins=bins.reshape(-1, 1), target=None,
-                        max_bin=255, min_data_in_bin=1)
+    bds = BinnedDataset(mapper=mapper, bins=bins.reshape(-1, 1), target=None)
     grads = _grads([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.1, -0.9])
     params = Params(min_data_in_leaf=1, num_leaves=2)
     tree = grow_tree(bds, grads, _node(8), [0], params, np.random.default_rng(0))
