@@ -5,6 +5,9 @@ Usage, from anywhere:
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload kshot-grid --seeds 501-510
 
+``--workload`` takes any workload that the ``BENCHMARK.json`` of this
+script's own checkout names.
+
 For every seed, ``bench/run.py`` runs once in each checkout, in a fresh
 process, with its own ``--seconds`` and ``--trace``. Which side runs first
 alternates from seed to seed, so a drift in the host's speed does not favour
@@ -174,12 +177,15 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line; ``--workload`` choices come from this checkout's ``BENCHMARK.json``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout the change is compared against")
     ap.add_argument("change", help="checkout with the change")
-    ap.add_argument("--workload", required=True,
-                    choices=["kshot-grid", "train-20k", "stack", "score"])
+    ap.add_argument("--workload", required=True, choices=workloads)
     ap.add_argument("--seeds", required=True, type=_seed_range, help="inclusive range A-B")
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
@@ -187,7 +193,11 @@ def main(argv=None) -> int:
                     help="also count split scans, grow_trees, compute_gradients and "
                          "Tree.predict_bins calls, and routed rows, at the first seed")
     ap.add_argument("--out", default=None, help="write the summary and every run as JSON")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(sides["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ Example:
 import argparse
 import sys
 
-from fewboost.dataset import load_csv, load_schema, write_json
+from fewboost.dataset import load_csv, write_json
 from fewboost.fsl import default_preset, fsl_preset, run_benchmark
 from fewboost.synth import make_synthetic_binary
 
@@ -31,7 +31,7 @@ def main() -> int:
     if args.data:
         if not args.schema:
             ap.error("--schema is required with --data")
-        ds = load_csv(args.data, load_schema(args.schema))
+        ds = load_csv(args.data, args.schema)
     else:
         ds = make_synthetic_binary(n_rows=args.rows, seed=args.seed)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import (CATEGORICAL, NUMERIC, BinnedDataset, FeatureBins, bin_matrix,
                       read_json, write_json)
-from .errors import ValidationError, decoding, integer
+from .errors import ValidationError, bundle_version, decoding, integer
 from .params import Params
 from .tree import GrowJob, Tree, grow_trees
 
@@ -128,18 +128,16 @@ class Model:
     def from_dict(cls, d: dict) -> "Model":
         """Decode a model bundle document.
 
-        A missing field, a value that does not decode or is not a JSON
-        integer where one is due, a non-finite base score, a feature whose
-        binning fields disagree (see :func:`_check_bins`), an ``objective``
-        other than the params' own, or a bad tree (each checked in one pass
-        by :meth:`~fewboost.tree.Tree.from_dict`, a split's ``missing_bin``
+        A ``version`` other than the JSON integer 1, a missing field, a value
+        that does not decode or is not a JSON integer where one is due, a
+        non-finite base score, a feature whose binning fields disagree (see
+        :func:`_check_bins`), an ``objective`` other than the params' own, or
+        a bad tree (each checked in one pass by
+        :meth:`~fewboost.tree.Tree.from_dict`, a split's ``missing_bin``
         against its feature's) raises :class:`ValidationError` naming the
         part (``tree 3: node 5: ...``).
         """
-        if not isinstance(d, dict) or d.get("format") != "fewboost-model":
-            raise ValidationError("not a fewboost model document")
-        if d.get("version") != 1:
-            raise ValidationError(f"unsupported model version {d.get('version')!r}")
+        bundle_version(d, "model", (1,))
         with decoding():
             mapper = []
             for j, f in enumerate(d["features"]):
@@ -219,16 +217,15 @@ def check_trainable(bds: BinnedDataset, params: Params) -> None:
 class _Boosting:
     """One model's state between boosting rounds: generator, scores, gradients and trees.
 
-    ``scores`` is the model's slice of its objective's :class:`_ScoreBuffer`,
-    and ``grads`` its slice of that buffer's latest gradients.
+    :class:`_ScoreBuffer` makes ``scores`` a slice of its objective's buffer,
+    and ``grads`` a slice of that buffer's latest gradients.
     """
 
-    def __init__(self, bds: BinnedDataset, params: Params, scores: np.ndarray):
+    def __init__(self, bds: BinnedDataset, params: Params):
         self.bds, self.params = bds, params
         self.rng = np.random.default_rng(params.seed)
         self.base = _initial_score(params.objective, bds.target)
-        self.scores = scores
-        self.scores.fill(self.base)
+        self.scores = np.full(bds.n_rows, self.base)
         self.grads: GradientPairs | None = None
         self.all_rows = np.arange(bds.n_rows, dtype=np.intp)
         self.all_feats = np.arange(bds.n_features, dtype=np.intp)
@@ -265,30 +262,24 @@ class _Boosting:
 class _ScoreBuffer:
     """The training targets and scores of every model of one objective, one buffer each.
 
-    The models are laid out by descending ``n_rounds``, so those still
-    training in any round are a prefix of the buffer, and one
-    :func:`compute_gradients` call over that prefix gives each of them its
-    round's gradients. The loss derivatives are elementwise, so each model's
-    slice equals a call over its rows alone.
+    One :func:`compute_gradients` call over the whole buffer gives each model
+    its round's gradients; the loss derivatives are elementwise, so each
+    model's slice equals a call over its rows alone, and a model that has
+    grown all its trees just leaves its slice unread.
     """
 
-    def __init__(self, objective: str, pairs: Sequence[tuple[BinnedDataset, Params]]):
-        self.objective = objective
-        ends = np.cumsum([bds.n_rows for bds, _ in pairs]).tolist()
+    def __init__(self, objective: str, runs: Sequence[_Boosting]):
+        self.objective, self.runs = objective, runs
+        ends = np.cumsum([run.bds.n_rows for run in runs]).tolist()
         self.spans = list(zip([0] + ends[:-1], ends))
-        self.targets = np.concatenate([bds.target for bds, _ in pairs])
-        self.scores = np.empty(ends[-1], dtype=np.float64)
-        self.runs = [_Boosting(bds, params, self.scores[lo:hi])
-                     for (bds, params), (lo, hi) in zip(pairs, self.spans)]
+        self.targets = np.concatenate([run.bds.target for run in runs])
+        self.scores = np.concatenate([run.scores for run in runs])
+        for run, (lo, hi) in zip(runs, self.spans):
+            run.scores = self.scores[lo:hi]
 
-    def gradients(self, it: int) -> None:
-        """Set the gradients of every model that grows a tree in round ``it``."""
-        active = sum(it < run.params.n_rounds for run in self.runs)
-        if active == 0:
-            return
-        end = self.spans[active - 1][1]
-        grads = compute_gradients(self.objective, self.targets[:end], self.scores[:end])
-        for run, (lo, hi) in zip(self.runs[:active], self.spans):
+    def gradients(self) -> None:
+        grads = compute_gradients(self.objective, self.targets, self.scores)
+        for run, (lo, hi) in zip(self.runs, self.spans):
             run.grads = GradientPairs(grad=grads.grad[lo:hi], hess=grads.hess[lo:hi])
 
 
@@ -310,17 +301,12 @@ def train_many(datasets: Sequence[BinnedDataset], params_list: Sequence[Params])
         raise ValidationError("train_many needs one Params per dataset")
     for bds, params in zip(datasets, params_list):
         check_trainable(bds, params)
-    by_objective: dict[str, list[int]] = {}
-    for i in sorted(range(len(datasets)), key=lambda i: -params_list[i].n_rounds):
-        by_objective.setdefault(params_list[i].objective, []).append(i)
-    buffers = [_ScoreBuffer(objective, [(datasets[i], params_list[i]) for i in members])
-               for objective, members in by_objective.items()]
-    run_of = {i: run for members, buffer in zip(by_objective.values(), buffers)
-              for i, run in zip(members, buffer.runs)}
-    runs = [run_of[i] for i in range(len(datasets))]
+    runs = [_Boosting(bds, params) for bds, params in zip(datasets, params_list)]
+    buffers = [_ScoreBuffer(objective, [run for run in runs if run.params.objective == objective])
+               for objective in dict.fromkeys(params.objective for params in params_list)]
     for it in range(max((p.n_rounds for p in params_list), default=0)):
         for buffer in buffers:
-            buffer.gradients(it)
+            buffer.gradients()
         active = [run for run in runs if it < run.params.n_rounds]
         for run, tree in zip(active, grow_trees([run.next_job(it) for run in active])):
             run.add(tree)
@@ -345,15 +331,9 @@ def predict(model: Model, rows) -> np.ndarray:
     """Score raw (unbinned) feature rows through the stored binning rules.
 
     Binary log-loss models return probabilities clipped to the open (0, 1)
-    interval; regression objectives return raw scores.
+    interval; regression objectives return raw scores. Rows that are not a
+    matrix with one column per feature raise :class:`ValidationError`.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValidationError(f"expected a 2-d row matrix, got shape {rows.shape}")
-    if rows.shape[1] != model.n_features:
-        raise ValidationError(
-            f"row arity {rows.shape[1]} does not match the model's {model.n_features} features"
-        )
     bins = bin_matrix(model.mapper, rows)
     raw = np.full(bins.shape[0], model.base_score, dtype=np.float64)
     for tree in model.trees:

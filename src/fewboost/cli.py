@@ -37,17 +37,10 @@ from .stacking import (calibrate_thresholds, fit_stacking, load_pipeline, make_d
 
 
 def _resolve_params(args) -> Params:
-    if args.preset == "fsl":
-        base = fsl_preset()
-    elif args.preset == "default":
-        base = default_preset()
-    else:  # "file"
-        if not args.params:
-            raise ValidationError("--preset file requires --params <file>")
-        base = default_preset()
-    if args.params:
-        base = Params.from_dict(read_json(args.params), base=base)
-    return base
+    if args.preset == "file" and not args.params:
+        raise ValidationError("--preset file requires --params <file>")
+    base = fsl_preset() if args.preset == "fsl" else default_preset()
+    return Params.from_dict(read_json(args.params), base=base) if args.params else base
 
 
 def _parse_shots(text: str) -> list[int]:
@@ -132,11 +125,8 @@ def cmd_predict(args) -> int:
 
 def cmd_stack(args) -> int:
     ds = load_csv(args.data, args.schema)
-    params = _resolve_params(args)
-    if params.objective != "mse":
-        params = Params.from_dict({"objective": "mse"}, base=params)
     configs = make_default_zoo(ds, k_per_model=args.k_per_model, seed=args.seed,
-                               params=params)
+                               params=_resolve_params(args))
     target_dist = _parse_target_dist(args.target_dist)
     pipeline = fit_stacking(ds, configs, target_dist, seed=args.seed)
     save_pipeline(pipeline, args.out)

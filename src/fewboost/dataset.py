@@ -11,8 +11,8 @@ which codes them against a trained model's category lists). It reads a
 block of a few hundred records at a time with :mod:`csv`, transposes the
 block, and converts it column by column: numeric columns through ``float``
 (an empty cell is NaN), categorical ones through one dict lookup per cell.
-Only a block that holds a bad row is re-read row by row, to name the first
-bad row's error.
+Only a block that holds a bad row is decoded again one record at a time,
+by the same code, to name the first bad row's error.
 
 Binning contract for numeric features: greedy equal-frequency partition over
 the sorted distinct values, targeting ``n // min_data_in_bin`` bins (capped at
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -72,28 +73,17 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset (copy), preserving column metadata and category codes."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(
-            feature_names=list(self.feature_names),
-            kinds=list(self.kinds),
-            values=self.values[idx].copy(),
-            categories=[None if c is None else list(c) for c in self.categories],
-            target=None if self.target is None else self.target[idx].copy(),
-            target_name=self.target_name,
-            name=self.name,
-        )
+        return dataclasses.replace(self, values=self.values[idx],
+                                   target=None if self.target is None else self.target[idx])
 
     def select_features(self, feature_indices: Sequence[int]) -> "Dataset":
         """Column subset (copy), keeping all rows."""
         cols = [int(j) for j in feature_indices]
-        return Dataset(
-            feature_names=[self.feature_names[j] for j in cols],
-            kinds=[self.kinds[j] for j in cols],
-            values=self.values[:, cols].copy(),
-            categories=[None if self.categories[j] is None else list(self.categories[j]) for j in cols],
-            target=None if self.target is None else self.target.copy(),
-            target_name=self.target_name,
-            name=self.name,
-        )
+        return dataclasses.replace(
+            self, feature_names=[self.feature_names[j] for j in cols],
+            kinds=[self.kinds[j] for j in cols], values=self.values[:, cols],
+            categories=[self.categories[j] for j in cols],
+            target=None if self.target is None else self.target.copy())
 
 
 def read_json(path):
@@ -126,44 +116,40 @@ def write_json(path, doc) -> None:
         fh.write(text + "\n")
 
 
-def load_schema(path) -> dict[str, str]:
-    """Read a JSON schema file: ``{column_name: kind}``."""
-    raw = read_json(path)
-    if not isinstance(raw, dict):
+def load_schema(schema: Mapping[str, str] | str | os.PathLike) -> dict[str, str]:
+    """A schema ``{column_name: kind}``, given as a mapping or as the path of a JSON file.
+
+    Every kind must be one of :data:`SCHEMA_KINDS`, else :class:`SchemaError`.
+    """
+    raw = schema if isinstance(schema, Mapping) else read_json(schema)
+    if not isinstance(raw, Mapping):
         raise SchemaError("schema must be a JSON object mapping column names to kinds")
-    schema: dict[str, str] = {}
     for col, kind in raw.items():
         if kind not in SCHEMA_KINDS:
             raise SchemaError(f"column {col!r}: unknown kind {kind!r}")
-        schema[str(col)] = kind
-    return schema
+    return dict(raw)
 
 
-def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_target: bool = True,
-             name: str | None = None) -> Dataset:
-    """Load an RFC-4180-style CSV with a header row into a :class:`Dataset`.
+def load_csv(path, schema: Mapping[str, str] | str | os.PathLike) -> Dataset:
+    """Load an RFC-4180-style CSV with a header row and a target column into a :class:`Dataset`.
 
     ``schema`` maps every CSV column to one of ``numeric``, ``categorical``,
-    ``target`` or ``ignore`` (a mapping, or a path to a JSON file of the same
-    shape). Empty cells are missing values; categorical strings are encoded
-    as dense codes in order of first appearance. A target cell must hold a
-    finite number: an empty, non-numeric, ``nan`` or infinite one raises
-    :class:`ParseError` naming its row and column. A malformed file raises
-    the error of its first bad row: the field count, then the features in
-    column order, then the target.
+    ``target`` or ``ignore`` (see :func:`load_schema`); exactly one column
+    is the target. Empty cells are missing values; categorical strings are
+    encoded as dense codes in order of first appearance. A target cell must
+    hold a finite number: an empty, non-numeric, ``nan`` or infinite one
+    raises :class:`ParseError` naming its row and column. A malformed file
+    raises the error of its first bad row: the field count, then the
+    features in column order, then the target. Scoring files, which code
+    categories by a trained vocabulary, are read by :func:`encode_csv`.
     """
-    if not isinstance(schema, Mapping):
-        schema = load_schema(schema)
-    for col, kind in schema.items():
-        if kind not in SCHEMA_KINDS:
-            raise SchemaError(f"column {col!r}: unknown kind {kind!r}")
-
+    schema = load_schema(schema)
     target_cols = [c for c, k in schema.items() if k == "target"]
-    if require_target and not target_cols:
+    if not target_cols:
         raise SchemaError("schema declares no target column")
     if len(target_cols) > 1:
         raise SchemaError(f"schema declares multiple target columns: {target_cols}")
-    target_col = target_cols[0] if target_cols else None
+    target_col = target_cols[0]
 
     with open_csv(path) as reader:
         header = _read_header(path, reader)
@@ -172,17 +158,14 @@ def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_tar
         if unknown:
             raise SchemaError(f"CSV column(s) not named in schema: {unknown}")
         missing_cols = [c for c, k in schema.items() if c not in header and k != "ignore"]
-        if target_col is not None and target_col in missing_cols and not require_target:
-            missing_cols.remove(target_col)
         if missing_cols:
             raise SchemaError(f"schema column(s) absent from CSV: {missing_cols}")
 
         feat_pos = [i for i, c in enumerate(header) if schema[c] in (NUMERIC, CATEGORICAL)]
         kinds = [schema[header[i]] for i in feat_pos]
-        target_pos = header.index(target_col) if (target_col is not None and target_col in header) else None
         vocabs = [{} if k == CATEGORICAL else None for k in kinds]
-        values, target = _decode(path, reader, header, list(zip(feat_pos, vocabs)), target_pos,
-                                 grow=True)
+        values, target = _decode(path, reader, header, list(zip(feat_pos, vocabs)),
+                                 header.index(target_col), grow=True)
 
     return Dataset(
         feature_names=[header[i] for i in feat_pos],
@@ -190,8 +173,8 @@ def load_csv(path, schema: Mapping[str, str] | str | os.PathLike, *, require_tar
         values=values,
         categories=[None if v is None else list(v) for v in vocabs],
         target=target,
-        target_name=target_col if target_col is not None else "target",
-        name=name if name is not None else os.path.splitext(os.path.basename(str(path)))[0],
+        target_name=target_col,
+        name=os.path.splitext(os.path.basename(str(path)))[0],
     )
 
 
@@ -262,18 +245,25 @@ def _decode(path, reader, header, columns, target_pos, *, grow):
     all NaN) and its vocabulary (None: numeric; else category -> code).
     With ``grow``, a category not in the vocabulary is added to it with the
     next code; without, it decodes to NaN. Returns the value matrix and the
-    target column (None without ``target_pos``).
+    target column (None without ``target_pos``). A block that fails is
+    decoded again one record at a time, and the first bad record's fault
+    raises :class:`ParseError` naming its row.
     """
-    n_fields = len(header)
     blocks, targets = [], []
     row_no = 2  # file row number of the block's first record
     while records := list(itertools.islice(reader, _CHUNK_ROWS)):
         rows = records if all(records) else [r for r in records if r]
         if rows:
             try:
-                block, target = _decode_block(rows, n_fields, columns, target_pos, grow)
+                block, target = _decode_block(rows, header, columns, target_pos, grow)
             except ValueError:
-                raise _first_error(path, header, row_no, records, columns, target_pos) from None
+                for row_no, row in enumerate(records, start=row_no):
+                    if row:
+                        try:
+                            _decode_block([row], header, columns, target_pos, grow)
+                        except ValueError as exc:
+                            raise ParseError(f"{path}: row {row_no}{exc}") from None
+                raise
             blocks.append(block)
             targets.append(target)
         row_no += len(records)
@@ -283,11 +273,16 @@ def _decode(path, reader, header, columns, target_pos, *, grow):
     return values, np.concatenate(targets) if targets else np.empty(0)
 
 
-def _decode_block(rows, n_fields, columns, target_pos, grow):
-    """One block, column by column; ValueError if any row in it is bad."""
-    n = len(rows)
-    if set(map(len, rows)) != {n_fields}:
-        raise ValueError("ragged row")
+def _decode_block(rows, header, columns, target_pos, grow):
+    """One block, column by column; ValueError if any row in it is bad.
+
+    The error's message names the fault of a one-record block, after its row
+    number: the field count, else the first bad feature cell in ``columns``
+    order, else the target cell.
+    """
+    n, first = len(rows), rows[0]
+    if set(map(len, rows)) != {len(header)}:
+        raise ValueError(f": expected {len(header)} fields, got {len(first)}")
     cells = list(zip(*rows))
     out = np.empty((n, len(columns)))
     for j, (pos, vocab) in enumerate(columns):
@@ -298,7 +293,10 @@ def _decode_block(rows, n_fields, columns, target_pos, grow):
         if vocab is None:
             if "" in col:
                 col = [tok or "nan" for tok in col]
-            out[:, j] = np.fromiter(map(float, col), np.float64, n)
+            try:
+                out[:, j] = np.fromiter(map(float, col), np.float64, n)
+            except ValueError:
+                raise ValueError(f", column {header[pos]!r}: non-numeric token {first[pos]!r}")
             continue
         if grow:
             for tok in dict.fromkeys(col):
@@ -308,42 +306,15 @@ def _decode_block(rows, n_fields, columns, target_pos, grow):
                                 np.float64, n)
     if target_pos is None:
         return out, None
-    target = np.fromiter(map(float, cells[target_pos]), np.float64, n)
+    tok = first[target_pos]
+    try:
+        target = np.fromiter(map(float, cells[target_pos]), np.float64, n)
+    except ValueError:
+        raise ValueError(f", column {header[target_pos]!r}: non-numeric token {tok!r}"
+                         if tok else ": missing target value")
     if not np.isfinite(target).all():
-        raise ValueError("non-finite target")
+        raise ValueError(f", column {header[target_pos]!r}: non-finite target {tok!r}")
     return out, target
-
-
-def _first_error(path, header, row_no, records, columns, target_pos) -> ParseError:
-    """The error of the first bad record of a block known to hold one."""
-    n_fields = len(header)
-    for row_no, row in enumerate(records, start=row_no):
-        if not row:
-            continue
-        if len(row) != n_fields:
-            return ParseError(f"{path}: row {row_no}: expected {n_fields} fields, got {len(row)}")
-        for pos, vocab in columns:
-            if pos is None or vocab is not None or row[pos] == "":
-                continue
-            try:
-                float(row[pos])
-            except ValueError:
-                return ParseError(f"{path}: row {row_no}, column {header[pos]!r}: "
-                                  f"non-numeric token {row[pos]!r}")
-        if target_pos is None:
-            continue
-        tok = row[target_pos]
-        if tok == "":
-            return ParseError(f"{path}: row {row_no}: missing target value")
-        try:
-            value = float(tok)
-        except ValueError:
-            return ParseError(f"{path}: row {row_no}, column {header[target_pos]!r}: "
-                              f"non-numeric token {tok!r}")
-        if not math.isfinite(value):
-            return ParseError(f"{path}: row {row_no}, column {header[target_pos]!r}: "
-                              f"non-finite target {tok!r}")
-    raise AssertionError("the block holds no bad record")
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -43,6 +43,20 @@ def integer(field: str, value) -> int:
     return value
 
 
+def bundle_version(d, kind: str, versions: tuple[int, ...]) -> int:
+    """The version of a ``fewboost-<kind>`` bundle document: a JSON integer in ``versions``.
+
+    Anything else raises ValidationError: not a document of that format, or
+    an unsupported version (a bool or a float such as ``1.0`` among them).
+    """
+    if not isinstance(d, dict) or d.get("format") != f"fewboost-{kind}":
+        raise ValidationError(f"not a fewboost {kind} document")
+    version = d.get("version")
+    if type(version) is not int or version not in versions:
+        raise ValidationError(f"unsupported {kind} version {version!r}")
+    return version
+
+
 def integers(field: str, values) -> list[int]:
     """``values`` if it is a JSON list of integers, else ValidationError naming the bad entry."""
     if type(values) is not list:

@@ -83,10 +83,27 @@ class MLP:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MLP":
-        return cls(
-            weights=[np.asarray(w, dtype=np.float64) for w in d["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in d["biases"]],
-        )
+        """Decode :meth:`to_dict`'s form: ValidationError unless the layers chain to one output.
+
+        Each weight matrix takes the previous layer's width, each bias
+        matches its layer, the last layer has one output, and every entry is finite.
+        """
+        weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
+        if not weights or len(weights) != len(biases):
+            raise ValidationError(f"needs one bias vector per weight matrix, at least one, "
+                                  f"got {len(weights)} and {len(biases)}")
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2:
+                raise ValidationError(f"layer {i}: weights must be a matrix, got shape {w.shape}")
+            rows = weights[i - 1].shape[1] if i else w.shape[0]
+            cols = 1 if i == len(weights) - 1 else w.shape[1]
+            if w.shape != (rows, cols) or b.shape != (cols,):
+                raise ValidationError(f"layer {i}: weights must have shape {(rows, cols)} and "
+                                      f"biases {(cols,)}, got {w.shape} and {b.shape}")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValidationError(f"layer {i}: weights and biases must be finite numbers")
+        return cls(weights=weights, biases=biases)
 
 
 def init_mlp(input_dim: int, hidden=HIDDEN_SIZES, rng: np.random.Generator | None = None,

@@ -25,7 +25,7 @@ import numpy as np
 from .blend import LinearBlender, fit_blender
 from .booster import Model, check_trainable, predict, train_many
 from .dataset import CATEGORICAL, Dataset, FeatureBins, bin_features, read_json, write_json
-from .errors import ValidationError, decoding, integers
+from .errors import ValidationError, bundle_version, decoding, integers
 from .fsl import fsl_preset
 from .mlp import MLP
 from .params import Params
@@ -302,14 +302,11 @@ class StackingPipeline:
         :class:`ValidationError` naming the part that is bad (``level-0
         entry 2: field 'shot_indices' entry 5 ...``), as a bad level-0 model
         does (``level-0 entry 2: tree 3: ...``). Version 1 holds an ``mlp``
-        blender, version 2 a ``blender``. The thresholds decode through
+        blender, version 2 a ``blender``; either takes one input per level-0
+        model. The thresholds decode through
         :meth:`ActionThresholds.from_dict`, and the columns must pass :meth:`feature_columns`.
         """
-        if not isinstance(d, dict) or d.get("format") != "fewboost-pipeline":
-            raise ValidationError("not a fewboost pipeline document")
-        version = d.get("version")
-        if type(version) is not int or version not in (1, 2):
-            raise ValidationError(f"unsupported pipeline version {version!r}")
+        version = bundle_version(d, "pipeline", (1, 2))
         with decoding():
             fits = []
             for k, entry in enumerate(d["level0"]):
@@ -329,6 +326,10 @@ class StackingPipeline:
             with decoding("blender"):
                 blender = (MLP.from_dict(d["mlp"]) if version == 1
                            else LinearBlender.from_dict(d["blender"]))
+                width = blender.layer_sizes[0] if version == 1 else blender.weights.size
+                if width != len(fits):
+                    raise ValidationError(f"takes {width} inputs, but the pipeline has "
+                                          f"{len(fits)} level-0 models")
             with decoding("thresholds"):
                 thresholds = ActionThresholds.from_dict(d["thresholds"])
         pipeline = cls(fits=fits, blender=blender, thresholds=thresholds)
@@ -360,9 +361,11 @@ def make_default_zoo(ds: Dataset, k_per_model: int, seed: int = 0,
     3. randomized trees on the base set with a winsorized target
     4. randomized trees with categoricals removed
     5. randomized trees with static features added back
+
+    Every model is a regressor: ``params`` (default :func:`fsl_preset`)
+    takes the squared-error objective.
     """
-    base_params = params if params is not None else dataclasses.replace(
-        fsl_preset(), objective="mse")
+    base_params = dataclasses.replace(params or fsl_preset(), objective="mse")
     relative = [j for j, name in enumerate(ds.feature_names)
                 if name.startswith("dI") and ds.kinds[j] != CATEGORICAL]
     cats = [j for j, kind in enumerate(ds.kinds) if kind == CATEGORICAL]

@@ -1,7 +1,11 @@
-"""``scripts/bench_pairs.py`` counts a run only when its last line is a full result."""
+"""``scripts/bench_pairs.py`` counts a run only when its last line is a full result.
+
+Its ``--workload`` choices are the workloads of its own checkout's ``BENCHMARK.json``.
+"""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -9,13 +13,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs",
-                                                  ROOT / "scripts" / "bench_pairs.py")
+def _load(script: Path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    return _load(ROOT / "scripts" / "bench_pairs.py")
 
 
 def _checkout(tmp_path, last_line: str) -> str:
@@ -80,3 +87,24 @@ def test_counts_find_a_function_under_every_module_that_binds_it(bench_pairs, tm
     counts = bench_pairs.count_calls(str(tmp_path), "stack", 3, str(tmp_path))
     assert counts == {"_best_splits": 6, "grow_trees": 3, "compute_gradients": 6,
                       "predict_bins": 6, "routed_rows": 3 * (5 + 7)}
+
+
+def _workload_args(name: str) -> list[str]:
+    return ["parent", "change", "--workload", name, "--seeds", "1-2"]
+
+
+def test_every_declared_workload_parses_and_no_other(bench_pairs, tmp_path, capsys):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    for workload in declared:
+        args = bench_pairs.build_parser().parse_args(_workload_args(workload["name"]))
+        assert args.workload == workload["name"]
+    with pytest.raises(SystemExit):
+        bench_pairs.build_parser().parse_args(_workload_args("no-such-workload"))
+    assert "invalid choice: 'no-such-workload'" in capsys.readouterr().err
+    # a copy of the script reads the workload list of its own checkout
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "bench_pairs.py", tmp_path / "scripts")
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": declared + [{"name": "tier1"}]}), encoding="utf-8")
+    copy = _load(tmp_path / "scripts" / "bench_pairs.py")
+    assert copy.build_parser().parse_args(_workload_args("tier1")).workload == "tier1"

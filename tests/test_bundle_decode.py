@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -225,7 +226,11 @@ def test_a_binning_field_that_disagrees_fails_to_load_naming_itself(tmp_path, bu
     # than the bins, a split whose missing rows never reach its missing bin,
     # a vocabulary that codes a file's cells to the wrong bin or to missing,
     # level-0 models that code one column two ways
-    bundle = bundles[kind]
+    _assert_fails_to_load(tmp_path, bundles[kind], break_it, message)
+
+
+def _assert_fails_to_load(tmp_path, bundle, break_it, message):
+    """The bundle broken by ``break_it`` fails to load with ``message``, and predict writes nothing."""
     doc = json.loads(json.dumps(bundle.doc))
     break_it(doc)
     path, out = tmp_path / "bundle.json", tmp_path / "scores.csv"
@@ -235,7 +240,9 @@ def test_a_binning_field_that_disagrees_fails_to_load_naming_itself(tmp_path, bu
     with pytest.raises(ValidationError, match=message):
         bundle.decode(doc)
     code, err = _predict(bundle, path, out)
-    assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    prefix = f"error: {path}: "
+    assert code == 1 and err.startswith(prefix) and err.count("\n") == 1
+    assert re.search(message, err[len(prefix):-1])
     assert not out.exists()
 
 
@@ -245,6 +252,48 @@ def test_a_categorical_feature_with_no_categories_and_one_bin_loads(bundles):
     _feature(doc, "categorical").update(categories=[], n_real_bins=1)
     doc["trees"] = [{"num_leaves_used": 1, "root": {"leaf": 0.25, "count": 3}}]
     assert Model.from_dict(doc).to_dict() == doc
+
+
+def _mlp(doc, weights, biases):
+    """Rewrite a pipeline document as version 1, with an MLP blender of these layers.
+
+    The decoder does not read the ``layer_sizes`` field a saved MLP also holds.
+    """
+    del doc["blender"]
+    doc.update(version=1, mlp={"weights": weights, "biases": biases})
+
+
+def _matrix(rows, cols, nan_at=None):
+    matrix = [[0.5] * cols for _ in range(rows)]
+    if nan_at is not None:
+        matrix[nan_at[0]][nan_at[1]] = float("nan")
+    return matrix
+
+
+@pytest.mark.parametrize("kind, break_it, message", [
+    ("fsl", lambda d: _set(d, "version", True), r"^unsupported model version True$"),
+    ("default", lambda d: _set(d, "version", 1.0), r"^unsupported model version 1\.0$"),
+    ("pipeline", lambda d: d["blender"]["weights"].pop(),
+     r"^blender: takes 4 inputs, but the pipeline has 5 level-0 models$"),
+    ("pipeline", lambda d: _mlp(d, [_matrix(5, 5), _matrix(4, 1)], [[0.0] * 5, [0.0]]),
+     r"^blender: layer 1: weights must have shape \(5, 1\) and biases \(1,\), "
+     r"got \(4, 1\) and \(1,\)$"),
+    ("pipeline", lambda d: _mlp(d, [_matrix(5, 5, nan_at=(2, 3)), _matrix(5, 1)],
+                                [[0.0] * 5, [0.0]]),
+     r"^blender: layer 0: weights and biases must be finite numbers$"),
+    ("pipeline", lambda d: _mlp(d, [[0.5] * 5], [[0.0]]),
+     r"^blender: layer 0: weights must be a matrix, got shape \(5,\)$"),
+    ("pipeline", lambda d: _mlp(d, [_matrix(5, 1)], []),
+     r"^blender: needs one bias vector per weight matrix, at least one, got 1 and 0$"),
+], ids=["model-version-true", "model-version-1.0", "blender-width", "mlp-shapes", "mlp-nan",
+        "mlp-vector", "mlp-no-bias"])
+def test_a_bundle_that_decodes_but_cannot_score_fails_to_load(tmp_path, bundles, kind, break_it,
+                                                               message):
+    # each of these loaded: a version that is not the JSON integer 1, a
+    # blender for 4 level-0 models over 5 (scoring failed without the file's
+    # path), MLP layers that do not chain or lack a bias (a raw traceback
+    # from predict) and a NaN weight (NaN scores)
+    _assert_fails_to_load(tmp_path, bundles[kind], break_it, message)
 
 
 _NOT_AN_INTEGER = st.one_of(

@@ -77,9 +77,9 @@ def _write(directory, header, rows):
     return path
 
 
-def _outcome(load, path, schema, **kwargs):
+def _outcome(load, path, schema):
     try:
-        return load(path, schema, **kwargs), None
+        return load(path, schema), None
     except Exception as exc:  # the class and message are what is compared
         return None, (type(exc), str(exc))
 
@@ -99,29 +99,23 @@ def _assert_same_dataset(got, want):
         assert got.target.dtype == np.float64 and got.target.tobytes() == want.target.tobytes()
 
 
-def _compare(path, schema, chunk, **kwargs):
+def _compare(path, schema, chunk):
     with mock.patch.object(dataset, "_CHUNK_ROWS", chunk):
-        got, got_error = _outcome(load_csv, path, schema, **kwargs)
-    want, want_error = _outcome(reference_csv.load_csv, path, schema, **kwargs)
+        got, got_error = _outcome(load_csv, path, schema)
+    want, want_error = _outcome(reference_csv.load_csv, path, schema)
     assert got_error == want_error
     if want is not None:
         _assert_same_dataset(got, want)
     return want_error
 
 
-@given(table=tables(), chunk=st.sampled_from(CHUNKS), drop_target=st.booleans())
+@given(table=tables(), chunk=st.sampled_from(CHUNKS))
 @settings(max_examples=300, deadline=None)
-def test_load_csv_matches_the_row_by_row_loader(table, chunk, drop_target):
+def test_load_csv_matches_the_row_by_row_loader(table, chunk):
     header, schema, rows = table
-    require_target = True
-    if drop_target:  # a scoring-style file: the schema's target column is absent
-        t = header.index(next(c for c, k in schema.items() if k == "target"))
-        header = header[:t] + header[t + 1:]
-        rows = [None if r is None else r[:t] + r[t + 1:] for r in rows]
-        require_target = False
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(tmp, header, rows)
-        error = _compare(path, schema, chunk, require_target=require_target)
+        error = _compare(path, schema, chunk)
     assert error is None
 
 

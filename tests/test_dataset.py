@@ -88,12 +88,6 @@ def test_load_csv_ignore_columns_skipped(tmp_path):
     assert ds.feature_names == ["age"]
 
 
-def test_load_csv_without_target_for_prediction(tmp_path):
-    path = _write(tmp_path, "age,job\n31,teacher\n")
-    ds = load_csv(path, SCHEMA3, require_target=False)
-    assert ds.target is None and ds.n_rows == 1
-
-
 def test_load_schema_rejects_unknown_kind(tmp_path):
     p = tmp_path / "schema.json"
     p.write_text(json.dumps({"a": "float"}), encoding="utf-8")

@@ -361,6 +361,8 @@ def _first_split(entry):
      r"^level-0 entry 3: tree \d+: node 0: missing field 'count'$"),
     (lambda d: d["level0"][0]["model"].pop("trees"), "^level-0 entry 0: missing field 'trees'$"),
     (lambda d: d["blender"].pop("weights"), "^blender: missing field 'weights'$"),
+    (lambda d: d["blender"]["weights"].pop(),
+     "^blender: takes 4 inputs, but the pipeline has 5 level-0 models$"),
     (lambda d: d["thresholds"].__setitem__("t_low", "x"), "^thresholds: ValueError"),
     (lambda d: d.__setitem__("level0", 7), "^TypeError"),
     (lambda d: d.__setitem__("version", 7), "^unsupported pipeline version 7$"),
