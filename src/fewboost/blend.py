@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, number, numbers
 
 
 def _solve_gram(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -115,13 +115,15 @@ class LinearBlender:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearBlender":
+        """Decode :meth:`to_dict`'s form: finite numbers, and no weight below 0, as fitted."""
         if d.get("kind") != "nnls":
             raise ValidationError(f"unknown blender kind {d.get('kind')!r}")
-        weights = np.asarray(d["weights"], dtype=np.float64)
-        intercept = float(d["intercept"])
-        if weights.ndim != 1 or not np.isfinite(weights).all() or not np.isfinite(intercept):
-            raise ValidationError("blender weights and intercept must be finite numbers")
-        return cls(weights=weights, intercept=intercept)
+        weights = numbers("weights", d["weights"])
+        at = next((at for at, w in enumerate(weights) if w < 0), None)
+        if at is not None:
+            raise ValidationError(f"field 'weights' entry {at} must be >= 0, got {weights[at]!r}")
+        return cls(weights=np.asarray(weights, dtype=np.float64),
+                   intercept=number("intercept", d["intercept"]))
 
 
 def fit_blender(meta_features, targets) -> LinearBlender:

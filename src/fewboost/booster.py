@@ -23,7 +23,8 @@ import numpy as np
 
 from .dataset import (CATEGORICAL, NUMERIC, BinnedDataset, FeatureBins, bin_matrix,
                       read_json, write_json)
-from .errors import ValidationError, bundle_version, decoding, integer
+from .errors import (ValidationError, array, bundle_version, decoding, integer, number, numbers,
+                     string)
 from .params import Params
 from .tree import GrowJob, Tree, grow_trees
 
@@ -129,38 +130,36 @@ class Model:
         """Decode a model bundle document.
 
         A ``version`` other than the JSON integer 1, a missing field, a value
-        that does not decode or is not a JSON integer where one is due, a
-        non-finite base score, a feature whose binning fields disagree (see
-        :func:`_check_bins`), an ``objective`` other than the params' own, or
-        a bad tree (each checked in one pass by
-        :meth:`~fewboost.tree.Tree.from_dict`, a split's ``missing_bin``
-        against its feature's) raises :class:`ValidationError` naming the
-        part (``tree 3: node 5: ...``).
+        that does not decode or is not of its JSON type (by the rules of
+        :mod:`~fewboost.errors`), a feature whose binning fields disagree (see
+        :func:`_check_bins`), an ``objective`` other than the params' own, or a
+        bad tree (checked in one pass by :meth:`~fewboost.tree.Tree.from_dict`,
+        a split's ``missing_bin`` against its feature's) raises
+        :class:`ValidationError` naming the part (``tree 3: node 5: ...``).
         """
-        bundle_version(d, "model", (1,))
+        bundle_version(d, "model", 1)
         with decoding():
             mapper = []
-            for j, f in enumerate(d["features"]):
+            for j, f in enumerate(array("features", d["features"])):
                 with decoding(f"feature {j}"):
                     fb = FeatureBins(
-                        name=f["name"], kind=f["kind"],
+                        name=string("name", f["name"]), kind=f["kind"],
                         n_real_bins=integer("n_real_bins", f["n_real_bins"]),
-                        edges=np.asarray(f["edges"], dtype=np.float64) if "edges" in f else None,
-                        categories=tuple(f["categories"]) if "categories" in f else None,
+                        edges=(np.asarray(numbers("edges", f["edges"]), dtype=np.float64)
+                               if "edges" in f else None),
+                        categories=(tuple(array("categories", f["categories"]))
+                                    if "categories" in f else None),
                     )
                     _check_bins(fb)
                 mapper.append(fb)
-            with decoding("base_score"):
-                base_score = float(d["base_score"])
-            if not math.isfinite(base_score):
-                raise ValidationError(f"base_score must be a finite number, got {base_score!r}")
+            base_score = number("base_score", d["base_score"])
             with decoding("params"):
                 params = Params.from_dict(d["params"])
             if d["objective"] != params.objective:
                 raise ValidationError(f"objective {d['objective']!r} is not the params' "
                                       f"objective {params.objective!r}")
             trees, missing_bins = [], [fb.missing_bin for fb in mapper]
-            for i, t in enumerate(d["trees"]):
+            for i, t in enumerate(array("trees", d["trees"])):
                 try:
                     trees.append(Tree.from_dict(t, missing_bins))
                 except ValidationError as exc:
@@ -172,17 +171,16 @@ def _check_bins(fb: FeatureBins) -> None:
     """Raise ValidationError unless a decoded feature's binning fields agree.
 
     ``kind`` is numeric or categorical. A numeric feature has
-    ``n_real_bins - 1`` finite, strictly increasing ``edges`` (an absent
-    list holds none); a categorical one has ``n_real_bins`` distinct string
-    categories, or none and one bin.
+    ``n_real_bins - 1`` strictly increasing ``edges`` (an absent list holds
+    none; each edge was decoded by :func:`~fewboost.errors.numbers`); a
+    categorical one has ``n_real_bins`` distinct string categories, or none
+    and one bin.
     """
     if fb.kind == NUMERIC:
         edges = np.empty(0) if fb.edges is None else fb.edges
-        if edges.ndim != 1 or edges.size != fb.n_real_bins - 1:
+        if edges.size != fb.n_real_bins - 1:
             raise ValidationError(f"field 'edges' must be a list of n_real_bins - 1 = "
                                   f"{fb.n_real_bins - 1} numbers, got {edges.size}")
-        if not np.isfinite(edges).all():
-            raise ValidationError("bin edges must be finite numbers")
         if edges.size > 1 and not (edges[1:] > edges[:-1]).all():
             at = int(np.argmin(edges[1:] > edges[:-1])) + 1
             raise ValidationError(f"field 'edges' must be strictly increasing, got "

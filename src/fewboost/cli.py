@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Commands: ``bench`` (k-shot AUC grid), ``train``, ``predict`` (model or
-pipeline bundles), ``stack`` (partition -> level-0 -> blender -> thresholds)
-and ``calibrate`` (recompute thresholds for a scores file). Exit codes:
-0 success, 1 usage/validation/I-O error, 2 partial benchmark failure.
+Commands: ``bench`` (k-shot AUC grid), ``train`` (warns when every tree is a
+single leaf), ``predict`` (model or pipeline bundles), ``stack`` (partition
+-> level-0 -> blender -> thresholds) and ``calibrate`` (recompute thresholds
+for a scores file). Exit codes: 0 success, 1 usage/validation/I-O error, 2
+partial benchmark failure.
 
 ``predict`` reads the scoring CSV's columns by name and codes its categories
 against the bundle's training vocabulary (``dataset.encode_csv``), so the
@@ -87,6 +88,10 @@ def cmd_train(args) -> int:
     bds = bin_features(ds, params.max_bin, params.min_data_in_bin)
     model = train(bds, params)
     save_model(model, args.out)
+    if model.trees and model.all_single_leaf():  # a root's count is the rows its tree saw
+        print(f"warning: every tree is a single leaf: the leaf floor is 2*min_data_in_leaf = "
+              f"{2 * params.min_data_in_leaf} rows, and each tree saw "
+              f"{model.trees[0].nodes[0].count}", file=sys.stderr)
     print(f"wrote model to {args.out}")
     return 0
 

@@ -58,7 +58,7 @@ class Dataset:
     kinds: list[str]
     values: np.ndarray
     categories: list[list[str] | None]
-    target: np.ndarray | None
+    target: np.ndarray
     target_name: str = "target"
     name: str = "data"
 
@@ -73,8 +73,7 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset (copy), preserving column metadata and category codes."""
         idx = np.asarray(indices, dtype=np.intp)
-        return dataclasses.replace(self, values=self.values[idx],
-                                   target=None if self.target is None else self.target[idx])
+        return dataclasses.replace(self, values=self.values[idx], target=self.target[idx])
 
     def select_features(self, feature_indices: Sequence[int]) -> "Dataset":
         """Column subset (copy), keeping all rows."""
@@ -82,8 +81,7 @@ class Dataset:
         return dataclasses.replace(
             self, feature_names=[self.feature_names[j] for j in cols],
             kinds=[self.kinds[j] for j in cols], values=self.values[:, cols],
-            categories=[self.categories[j] for j in cols],
-            target=None if self.target is None else self.target.copy())
+            categories=[self.categories[j] for j in cols], target=self.target.copy())
 
 
 def read_json(path):
@@ -321,8 +319,7 @@ def write_csv(ds: Dataset, path) -> None:
     """Write a dataset back out as CSV (missing values become empty cells)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(ds.feature_names) + ([ds.target_name] if ds.target is not None else [])
-        writer.writerow(header)
+        writer.writerow(list(ds.feature_names) + [ds.target_name])
         for i in range(ds.n_rows):
             row = []
             for j in range(ds.n_features):
@@ -333,9 +330,7 @@ def write_csv(ds: Dataset, path) -> None:
                     row.append(ds.categories[j][int(v)])
                 else:
                     row.append(repr(float(v)))
-            if ds.target is not None:
-                row.append(repr(float(ds.target[i])))
-            writer.writerow(row)
+            writer.writerow(row + [repr(float(ds.target[i]))])
 
 
 def schema_for(ds: Dataset) -> dict[str, str]:
@@ -484,10 +479,7 @@ def bin_features(ds: Dataset, max_bin: int, min_data_in_bin: int) -> BinnedDatas
                 n_real_bins=max(1, len(cats)), categories=cats,
             )
         mapper.append(fb)
-    return BinnedDataset(
-        mapper=mapper, bins=bin_matrix(mapper, ds.values),
-        target=None if ds.target is None else ds.target.copy(),
-    )
+    return BinnedDataset(mapper=mapper, bins=bin_matrix(mapper, ds.values), target=ds.target.copy())
 
 
 def bin_matrix(mapper: Sequence[FeatureBins], rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the decoding checks for bundles."""
+"""Exception types shared across the package, and one decoding rule per JSON type for bundles."""
 
 from contextlib import contextmanager
+from math import isfinite
 
 
 class FewboostError(Exception):
@@ -43,29 +44,55 @@ def integer(field: str, value) -> int:
     return value
 
 
-def bundle_version(d, kind: str, versions: tuple[int, ...]) -> int:
-    """The version of a ``fewboost-<kind>`` bundle document: a JSON integer in ``versions``.
+def number(field: str, value) -> float:
+    """``value`` as a float if it is a finite JSON number (not a bool), else ValidationError."""
+    if type(value) not in (int, float) or not isfinite(value):
+        raise ValidationError(f"field {field!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def string(field: str, value) -> str:
+    """``value`` if it is a JSON string, else ValidationError."""
+    if type(value) is not str:
+        raise ValidationError(f"field {field!r} must be a string, got {value!r}")
+    return value
+
+
+def array(field: str, value) -> list:
+    """``value`` if it is a JSON list, else ValidationError."""
+    if type(value) is not list:
+        raise ValidationError(f"field {field!r} must be a list, got {type(value).__name__}")
+    return value
+
+
+def integers(field: str, values) -> list[int]:
+    """``values`` if it is a JSON list of integers, else ValidationError naming the bad entry."""
+    if not {*map(type, array(field, values))} <= {int}:
+        at, value = next((at, v) for at, v in enumerate(values) if type(v) is not int)
+        raise ValidationError(f"field {field!r} entry {at} must be an integer, got {value!r}")
+    return values
+
+
+def numbers(field: str, values) -> list:
+    """``values`` if it is a JSON list of finite numbers, else ValidationError naming one."""
+    if not {*map(type, array(field, values))} <= {int, float} or not all(map(isfinite, values)):
+        at, value = next((at, v) for at, v in enumerate(values)
+                         if type(v) not in (int, float) or not isfinite(v))
+        raise ValidationError(f"field {field!r} entry {at} must be a finite number, got {value!r}")
+    return values
+
+
+def bundle_version(d, kind: str, version: int) -> None:
+    """Check that ``d`` is a ``fewboost-<kind>`` bundle document of this JSON-integer ``version``.
 
     Anything else raises ValidationError: not a document of that format, or
     an unsupported version (a bool or a float such as ``1.0`` among them).
     """
     if not isinstance(d, dict) or d.get("format") != f"fewboost-{kind}":
         raise ValidationError(f"not a fewboost {kind} document")
-    version = d.get("version")
-    if type(version) is not int or version not in versions:
-        raise ValidationError(f"unsupported {kind} version {version!r}")
-    return version
-
-
-def integers(field: str, values) -> list[int]:
-    """``values`` if it is a JSON list of integers, else ValidationError naming the bad entry."""
-    if type(values) is not list:
-        raise ValidationError(f"field {field!r} must be a list of integers, "
-                              f"got {type(values).__name__}")
-    if not {*map(type, values)} <= {int}:
-        at, value = next((at, v) for at, v in enumerate(values) if type(v) is not int)
-        raise ValidationError(f"field {field!r} entry {at} must be an integer, got {value!r}")
-    return values
+    got = d.get("version")
+    if type(got) is not int or got != version:
+        raise ValidationError(f"unsupported {kind} version {got!r}")
 
 
 @contextmanager

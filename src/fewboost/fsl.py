@@ -85,8 +85,6 @@ def sample_k_shot(ds: Dataset, k: int, seed: int) -> ShotSample:
     Per-class quotas follow the class priors with largest-remainder
     correction, and every class receives at least one row.
     """
-    if ds.target is None:
-        raise ValidationError("k-shot sampling requires a target column")
     if k > ds.n_rows:
         raise ValidationError(f"k={k} exceeds the {ds.n_rows} available rows")
     classes, counts = np.unique(ds.target, return_counts=True)

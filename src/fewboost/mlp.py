@@ -1,9 +1,10 @@
 """Small dense regression network trained with full-batch adam.
 
-The blender architecture is fixed at two ReLU hidden layers of 10 and 5
-units feeding a single linear output. Training minimizes MSE, checkpoints
-the weights with the best validation R2 after each epoch, and stops at the
-epoch cap or after 8 epochs without improvement.
+The architecture is fixed at two ReLU hidden layers of 10 and 5 units
+feeding a single linear output. Training minimizes MSE, checkpoints the
+weights with the best validation R2 after each epoch, and stops at the
+epoch cap or after 8 epochs without improvement. Pipelines blend with
+:mod:`~fewboost.blend`; no bundle holds this network.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ class MLP:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.weights[0].shape[0]:
             raise ValidationError(
-                f"expected input of shape (n, {self.weights[0].shape[0]}), got {x.shape}"
-            )
+                f"expected input of shape (n, {self.weights[0].shape[0]}), got {x.shape}")
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.maximum(h @ w + b, 0.0)
@@ -73,37 +73,6 @@ class MLP:
 
     def copy(self) -> "MLP":
         return MLP([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def to_dict(self) -> dict:
-        return {
-            "layer_sizes": self.layer_sizes,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MLP":
-        """Decode :meth:`to_dict`'s form: ValidationError unless the layers chain to one output.
-
-        Each weight matrix takes the previous layer's width, each bias
-        matches its layer, the last layer has one output, and every entry is finite.
-        """
-        weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
-        if not weights or len(weights) != len(biases):
-            raise ValidationError(f"needs one bias vector per weight matrix, at least one, "
-                                  f"got {len(weights)} and {len(biases)}")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.ndim != 2:
-                raise ValidationError(f"layer {i}: weights must be a matrix, got shape {w.shape}")
-            rows = weights[i - 1].shape[1] if i else w.shape[0]
-            cols = 1 if i == len(weights) - 1 else w.shape[1]
-            if w.shape != (rows, cols) or b.shape != (cols,):
-                raise ValidationError(f"layer {i}: weights must have shape {(rows, cols)} and "
-                                      f"biases {(cols,)}, got {w.shape} and {b.shape}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValidationError(f"layer {i}: weights and biases must be finite numbers")
-        return cls(weights=weights, biases=biases)
 
 
 def init_mlp(input_dim: int, hidden=HIDDEN_SIZES, rng: np.random.Generator | None = None,

@@ -10,8 +10,8 @@ scan per growth step. Their predictions on the leftover (meta) rows are
 blended by non-negative least squares with a free intercept
 (:mod:`~fewboost.blend`), and the blended score is discretized into
 sell/hold/buy actions by thresholds calibrated to a target action
-distribution. Bundles written with the earlier MLP blender
-(:mod:`~fewboost.mlp`) still load and score.
+distribution. A pipeline bundle has one format, version 2, with that
+blender; version 1, which held an MLP blender, no longer loads.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 from .blend import LinearBlender, fit_blender
 from .booster import Model, check_trainable, predict, train_many
 from .dataset import CATEGORICAL, Dataset, FeatureBins, bin_features, read_json, write_json
-from .errors import ValidationError, bundle_version, decoding, integers
+from .errors import (ValidationError, array, bundle_version, decoding, integers, number, numbers,
+                     string)
 from .fsl import fsl_preset
-from .mlp import MLP
 from .params import Params
 
 ACTIONS = ("sell", "hold", "buy")
@@ -50,10 +50,17 @@ def partition_shots(n: int, k_per_model: int, m_models: int, seed: int
     return parts, leftover
 
 
+def _check_quantiles(q: tuple) -> tuple:
+    """``q`` if it is two ``winsor_quantiles`` with 0 <= lo_q < hi_q <= 1, else ValidationError."""
+    if len(q) != 2 or not 0.0 <= q[0] < q[1] <= 1.0:
+        raise ValidationError(f"field 'winsor_quantiles' is {list(q)}, but quantiles must "
+                              f"satisfy 0 <= lo_q < hi_q <= 1")
+    return q
+
+
 def winsorize(y, lo_q: float, hi_q: float) -> np.ndarray:
     """Clip to the empirical [lo_q, hi_q] quantiles (linear interpolation)."""
-    if not 0.0 <= lo_q < hi_q <= 1.0:
-        raise ValidationError("quantiles must satisfy 0 <= lo_q < hi_q <= 1")
+    _check_quantiles((lo_q, hi_q))
     y = np.asarray(y, dtype=np.float64)
     return np.clip(y, float(np.quantile(y, lo_q)), float(np.quantile(y, hi_q)))
 
@@ -108,8 +115,6 @@ def train_level0(ds: Dataset, configs: Sequence[Level0Config]) -> Level0Result:
     """
     if not configs:
         raise ValidationError("at least one level-0 config is required")
-    if ds.target is None:
-        raise ValidationError("level-0 training requires a target column")
     _check_disjoint(configs)
     mask = np.ones(ds.n_rows, dtype=bool)
     for cfg in configs:
@@ -175,9 +180,14 @@ class ActionThresholds:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ActionThresholds":
-        """Decode :meth:`to_dict`'s form: a null ``t_low`` is -inf, a null ``t_high`` +inf."""
-        return cls(t_low=-np.inf if d["t_low"] is None else float(d["t_low"]),
-                   t_high=np.inf if d["t_high"] is None else float(d["t_high"]))
+        """Decode :meth:`to_dict`'s form: null (-inf for ``t_low``, +inf for ``t_high``), a
+        finite number, or the exact string ``"inf"`` or ``"-inf"`` that :func:`_number` writes."""
+        def cutpoint(field: str, off: float) -> float:
+            t = d[field]
+            if t in (None, "inf", "-inf"):
+                return off if t is None else float(t)
+            return number(field, t)
+        return cls(t_low=cutpoint("t_low", -np.inf), t_high=cutpoint("t_high", np.inf))
 
 
 def _number(t: float) -> float | str:
@@ -233,14 +243,10 @@ def calibrate_thresholds(scores, target_dist: Mapping[str, float]) -> ActionThre
 
 @dataclass
 class StackingPipeline:
-    """Level-0 fits, their blender and the action thresholds.
-
-    ``blender`` is a :class:`~fewboost.blend.LinearBlender`, or an
-    :class:`~fewboost.mlp.MLP` in a pipeline loaded from a version-1 bundle.
-    """
+    """Level-0 fits, their blender and the action thresholds."""
 
     fits: list[Level0Fit]
-    blender: LinearBlender | MLP
+    blender: LinearBlender
     thresholds: ActionThresholds
 
     def predict_score(self, rows) -> np.ndarray:
@@ -267,7 +273,6 @@ class StackingPipeline:
         return [columns.get(j) for j in range(max(columns, default=-1) + 1)]
 
     def to_dict(self) -> dict:
-        mlp = isinstance(self.blender, MLP)
         level0 = []
         for k, fit in enumerate(self.fits):
             try:
@@ -277,19 +282,17 @@ class StackingPipeline:
             level0.append({
                 "name": fit.config.name,
                 "feature_set": list(fit.config.feature_set),
-                "winsor_quantiles": (
-                    None if fit.config.winsor_quantiles is None
-                    else list(fit.config.winsor_quantiles)
-                ),
+                "winsor_quantiles": (None if fit.config.winsor_quantiles is None
+                                     else list(fit.config.winsor_quantiles)),
                 "shot_indices": [int(i) for i in fit.config.shot_indices],
                 "params": fit.config.params.to_dict(),
                 "model": model,
             })
         return {
             "format": "fewboost-pipeline",
-            "version": 1 if mlp else 2,
+            "version": 2,
             "level0": level0,
-            "mlp" if mlp else "blender": self.blender.to_dict(),
+            "blender": self.blender.to_dict(),
             "thresholds": self.thresholds.to_dict(),
         }
 
@@ -297,39 +300,35 @@ class StackingPipeline:
     def from_dict(cls, d: dict) -> "StackingPipeline":
         """Decode a pipeline bundle document.
 
-        A missing field, a value that does not decode, or a ``feature_set``
-        or ``shot_indices`` entry that is not a JSON integer raises
-        :class:`ValidationError` naming the part that is bad (``level-0
+        Only version 2 loads. A missing field, or a value that does not decode
+        or is not of its JSON type (by the rules of :mod:`~fewboost.errors`)
+        raises :class:`ValidationError` naming the part that is bad (``level-0
         entry 2: field 'shot_indices' entry 5 ...``), as a bad level-0 model
-        does (``level-0 entry 2: tree 3: ...``). Version 1 holds an ``mlp``
-        blender, version 2 a ``blender``; either takes one input per level-0
-        model. The thresholds decode through
-        :meth:`ActionThresholds.from_dict`, and the columns must pass :meth:`feature_columns`.
+        does (``level-0 entry 2: tree 3: ...``). ``winsor_quantiles`` are null
+        or two with 0 <= lo < hi <= 1, the blender takes one input per level-0
+        model, and the columns must pass :meth:`feature_columns`.
         """
-        version = bundle_version(d, "pipeline", (1, 2))
+        bundle_version(d, "pipeline", 2)
         with decoding():
             fits = []
-            for k, entry in enumerate(d["level0"]):
+            for k, entry in enumerate(array("level0", d["level0"])):
                 with decoding(f"level-0 entry {k}"):
+                    quantiles = entry["winsor_quantiles"]
                     cfg = Level0Config(
-                        name=entry["name"],
+                        name=string("name", entry["name"]),
                         feature_set=tuple(integers("feature_set", entry["feature_set"])),
                         params=Params.from_dict(entry["params"]),
                         shot_indices=np.asarray(integers("shot_indices", entry["shot_indices"]),
                                                 dtype=np.intp),
-                        winsor_quantiles=(
-                            None if entry["winsor_quantiles"] is None
-                            else tuple(entry["winsor_quantiles"])
-                        ),
+                        winsor_quantiles=None if quantiles is None else _check_quantiles(
+                            tuple(numbers("winsor_quantiles", quantiles))),
                     )
                     fits.append(Level0Fit(config=cfg, model=Model.from_dict(entry["model"])))
             with decoding("blender"):
-                blender = (MLP.from_dict(d["mlp"]) if version == 1
-                           else LinearBlender.from_dict(d["blender"]))
-                width = blender.layer_sizes[0] if version == 1 else blender.weights.size
-                if width != len(fits):
-                    raise ValidationError(f"takes {width} inputs, but the pipeline has "
-                                          f"{len(fits)} level-0 models")
+                blender = LinearBlender.from_dict(d["blender"])
+                if blender.weights.size != len(fits):
+                    raise ValidationError(f"takes {blender.weights.size} inputs, but the "
+                                          f"pipeline has {len(fits)} level-0 models")
             with decoding("thresholds"):
                 thresholds = ActionThresholds.from_dict(d["thresholds"])
         pipeline = cls(fits=fits, blender=blender, thresholds=thresholds)

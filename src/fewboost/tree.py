@@ -540,7 +540,7 @@ class Tree:
                 if type(count) is not int:
                     raise _BadField("count")
                 if "leaf" in nd:
-                    value = nd["leaf"]
+                    value = nd["leaf"]  # errors.number's rule, inline: this pass is hot
                     if type(value) is int:
                         value = float(value)
                     if type(value) is not float or not isfinite(value):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from fewboost.blend import LinearBlender, fit_blender, nnls
 from fewboost.errors import ValidationError
-from fewboost.mlp import init_mlp
-from fewboost.stacking import (ActionThresholds, StackingPipeline, fit_stacking,
-                               load_pipeline, make_default_zoo, save_pipeline)
+from fewboost.stacking import fit_stacking, make_default_zoo
 from fewboost.synth import make_synthetic_stock
 
 
@@ -115,19 +113,3 @@ def test_pipeline_bundle_stores_the_blender():
     doc = pipeline.to_dict()
     assert doc["version"] == 2 and doc["blender"]["kind"] == "nnls" and "mlp" not in doc
     assert all(w >= 0 for w in doc["blender"]["weights"])
-
-
-def test_pipeline_bundle_with_an_mlp_blender_still_loads_and_scores(tmp_path):
-    ds = make_synthetic_stock(n_rows=500, seed=2)
-    fitted = fit_stacking(ds, make_default_zoo(ds, k_per_model=60, seed=1),
-                          {"sell": 0.25, "hold": 0.5, "buy": 0.25})
-    mlp = init_mlp(len(fitted.fits), rng=np.random.default_rng(5))
-    old = StackingPipeline(fits=fitted.fits, blender=mlp,
-                           thresholds=ActionThresholds(t_low=-0.05, t_high=0.05))
-    path = tmp_path / "pipeline-v1.json"
-    save_pipeline(old, path)
-    doc = old.to_dict()
-    assert doc["version"] == 1 and "mlp" in doc and "blender" not in doc
-    loaded = load_pipeline(path)
-    assert np.array_equal(loaded.predict_score(ds.values), old.predict_score(ds.values))
-    assert np.array_equal(loaded.predict_actions(ds.values), old.predict_actions(ds.values))

@@ -253,8 +253,8 @@ def test_model_rejects_foreign_document(tmp_path):
 @pytest.mark.parametrize("fault, message", [
     ("feature", "split feature 99 is not one of the model's 6 features"),
     ("leaf", "leaf value must be a finite number, got nan"),
-    ("base_score", "base_score must be a finite number, got inf"),
-    ("edges", "bin edges must be finite numbers"),
+    ("base_score", "^field 'base_score' must be a finite number, got inf$"),
+    ("edges", r"^feature \d+: field 'edges' entry 0 must be a finite number, got nan$"),
 ])
 def test_load_model_rejects_an_out_of_range_feature_or_a_non_finite_number(tmp_path, fault,
                                                                            message):
@@ -292,14 +292,14 @@ def test_load_model_names_a_node_field_that_does_not_decode(tmp_path, fault, mes
 @pytest.mark.parametrize("break_it, message", [
     (lambda d: d.pop("features"), "missing field 'features'"),
     (lambda d: d["features"][0].pop("name"), "feature 0: missing field 'name'"),
-    (lambda d: d.__setitem__("trees", 3), "TypeError"),
+    (lambda d: d.__setitem__("trees", 3), "^field 'trees' must be a list, got int$"),
     (lambda d: d["trees"].__setitem__(1, [1, 2]), "tree 1: TypeError"),
     (lambda d: d["trees"][0].pop("root"), "tree 0: missing field 'root'"),
     (lambda d: d["trees"][0]["root"].__setitem__("left", "leaf"),
      "tree 0: node 1: a node must be an object, got str"),
     (lambda d: d["trees"][0]["root"].__setitem__("left_cats", ["c"]),
      "tree 0: node 0: field 'left_cats' must be a list of integers, got \\['c'\\]"),
-    (lambda d: d.__setitem__("base_score", "x"), "base_score: ValueError"),
+    (lambda d: d.__setitem__("base_score", "x"), "field 'base_score' must be a finite number"),
     (lambda d: d.__setitem__("params", []), "params: parameters must be a mapping"),
 ])
 def test_model_from_dict_turns_every_decoding_error_into_a_validation_error(break_it, message):

@@ -1,18 +1,21 @@
-"""Bundle decoding is strict: integer fields take JSON integers, and nothing recurses raw.
+"""Bundle decoding is strict: every field takes only its JSON type, and nothing recurses raw.
 
 The model and pipeline decoders check each field as they build it. These
-tests break one field of a trained bundle at a time, by hand and as a
-hypothesis property, and check that loading it raises ``ValidationError``
-naming the part and the field, through the Python API and ``fewboost
-predict`` alike; and that a bundle nested deeper than the recursion limit
-ends in ``ParseError`` or ``ValidationError``, never ``RecursionError``,
-and a tree that deep saves no file.
+tests break one field of a trained bundle at a time, by hand, as a
+hypothesis property and by walking every field of a small bundle, and check
+that loading it raises ``ValidationError`` naming the part and the field,
+through the Python API and ``fewboost predict`` alike; and that a bundle
+nested deeper than the recursion limit ends in ``ParseError`` or
+``ValidationError``, never ``RecursionError``, and a tree that deep saves
+no file.
 """
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
+import operator
 import re
 from types import SimpleNamespace
 
@@ -129,6 +132,10 @@ def _set(container, key, value):
     container[key] = value
 
 
+def _level0(doc, k=0):
+    return doc["level0"][k]
+
+
 @pytest.mark.parametrize("kind, break_it, message", [
     ("fsl", lambda d: _set(_first_split(d), "feature", 0.9),
      r"tree \d+: node 0: field 'feature' must be an integer, got 0\.9$"),
@@ -150,24 +157,44 @@ def _set(container, key, value):
      r"level-0 entry 1: field 'shot_indices' entry 0 must be an integer, got '3'$"),
     ("default", lambda d: _set(d, "objective", "bogus"),
      r"objective 'bogus' is not the params' objective 'mse'$"),
+    ("fsl", lambda d: _set(d, "base_score", "0.5"),
+     r"^field 'base_score' must be a finite number, got '0\.5'$"),
+    ("default", lambda d: _set(d, "base_score", True),
+     r"^field 'base_score' must be a finite number, got True$"),
+    ("fsl", lambda d: _set(_edges(d), 0, str(_edges(d)[0])),
+     r"^feature \d+: field 'edges' entry 0 must be a finite number, got '\S+'$"),
+    ("pipeline", lambda d: _set(d["blender"]["weights"], 0, "0.5"),
+     r"^blender: field 'weights' entry 0 must be a finite number, got '0\.5'$"),
+    ("pipeline", lambda d: _set(d["blender"]["weights"], 1, True),
+     r"^blender: field 'weights' entry 1 must be a finite number, got True$"),
+    ("pipeline", lambda d: _set(d["blender"]["weights"], 2, -3),
+     r"^blender: field 'weights' entry 2 must be >= 0, got -3$"),
+    ("pipeline", lambda d: _set(d["blender"], "intercept", "2"),
+     r"^blender: field 'intercept' must be a finite number, got '2'$"),
+    ("pipeline", lambda d: _set(d["thresholds"], "t_low", False),
+     r"^thresholds: field 't_low' must be a finite number, got False$"),
+    ("pipeline", lambda d: _set(_level0(d), "winsor_quantiles", ["a", True, None]),
+     r"^level-0 entry 0: field 'winsor_quantiles' entry 0 must be a finite number, got 'a'$"),
+    ("pipeline", lambda d: _set(_level0(d), "winsor_quantiles", [0.9, 0.1]),
+     r"^level-0 entry 0: field 'winsor_quantiles' is \[0\.9, 0\.1\], but quantiles must "
+     r"satisfy 0 <= lo_q < hi_q <= 1$"),
+    ("default", lambda d: _set(d["features"][0], "name", 7),
+     r"^feature 0: field 'name' must be a string, got 7$"),
+    ("pipeline", lambda d: _set(_level0(d, 1), "name", 7),
+     r"^level-0 entry 1: field 'name' must be a string, got 7$"),
 ], ids=["feature-0.9", "count-2.5", "missing_bin-true", "default_left-string", "leaf-string",
         "num_leaves_used-1.5", "n_real_bins-2.7", "feature_set-0.9", "shot_indices-string",
-        "objective-bogus"])
+        "objective-bogus", "base_score-string", "base_score-true", "edge-string",
+        "weight-string", "weight-true", "weight-negative", "intercept-string", "t_low-false",
+        "winsor-not-numbers", "winsor-reversed", "feature-name-7", "level0-name-7"])
 def test_a_field_of_the_wrong_type_fails_to_load_naming_itself(tmp_path, bundles, kind, break_it,
                                                                message):
     # a lax decoder loads each of these without an error: int() truncates 0.9
-    # to feature 0, bool("false") is True, float("0.5") parses a string, and
-    # a top-level objective unchecked against the params' own changes what
-    # predict returns
-    bundle = bundles[kind]
-    doc = json.loads(json.dumps(bundle.doc))
-    break_it(doc)
-    path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ValidationError, match=message):
-        bundle.load(path)
-    with pytest.raises(ValidationError, match=message):
-        bundle.decode(doc)
+    # to feature 0, bool("false") is True, float("0.5") parses a string and
+    # float(True) is 1.0, a top-level objective unchecked against the params'
+    # own changes what predict returns, NNLS weights below 0 (which
+    # fit_blender never writes) blend, and a name of any type is kept
+    _assert_fails_to_load(tmp_path, bundles[kind], break_it, message)
 
 
 def _feature(doc, kind):
@@ -254,45 +281,18 @@ def test_a_categorical_feature_with_no_categories_and_one_bin_loads(bundles):
     assert Model.from_dict(doc).to_dict() == doc
 
 
-def _mlp(doc, weights, biases):
-    """Rewrite a pipeline document as version 1, with an MLP blender of these layers.
-
-    The decoder does not read the ``layer_sizes`` field a saved MLP also holds.
-    """
-    del doc["blender"]
-    doc.update(version=1, mlp={"weights": weights, "biases": biases})
-
-
-def _matrix(rows, cols, nan_at=None):
-    matrix = [[0.5] * cols for _ in range(rows)]
-    if nan_at is not None:
-        matrix[nan_at[0]][nan_at[1]] = float("nan")
-    return matrix
-
-
 @pytest.mark.parametrize("kind, break_it, message", [
     ("fsl", lambda d: _set(d, "version", True), r"^unsupported model version True$"),
     ("default", lambda d: _set(d, "version", 1.0), r"^unsupported model version 1\.0$"),
     ("pipeline", lambda d: d["blender"]["weights"].pop(),
      r"^blender: takes 4 inputs, but the pipeline has 5 level-0 models$"),
-    ("pipeline", lambda d: _mlp(d, [_matrix(5, 5), _matrix(4, 1)], [[0.0] * 5, [0.0]]),
-     r"^blender: layer 1: weights must have shape \(5, 1\) and biases \(1,\), "
-     r"got \(4, 1\) and \(1,\)$"),
-    ("pipeline", lambda d: _mlp(d, [_matrix(5, 5, nan_at=(2, 3)), _matrix(5, 1)],
-                                [[0.0] * 5, [0.0]]),
-     r"^blender: layer 0: weights and biases must be finite numbers$"),
-    ("pipeline", lambda d: _mlp(d, [[0.5] * 5], [[0.0]]),
-     r"^blender: layer 0: weights must be a matrix, got shape \(5,\)$"),
-    ("pipeline", lambda d: _mlp(d, [_matrix(5, 1)], []),
-     r"^blender: needs one bias vector per weight matrix, at least one, got 1 and 0$"),
-], ids=["model-version-true", "model-version-1.0", "blender-width", "mlp-shapes", "mlp-nan",
-        "mlp-vector", "mlp-no-bias"])
+    ("pipeline", lambda d: _set(d, "version", 1), r"^unsupported pipeline version 1$"),
+], ids=["model-version-true", "model-version-1.0", "blender-width", "pipeline-version-1"])
 def test_a_bundle_that_decodes_but_cannot_score_fails_to_load(tmp_path, bundles, kind, break_it,
                                                                message):
     # each of these loaded: a version that is not the JSON integer 1, a
     # blender for 4 level-0 models over 5 (scoring failed without the file's
-    # path), MLP layers that do not chain or lack a bias (a raw traceback
-    # from predict) and a NaN weight (NaN scores)
+    # path), and a version-1 pipeline, whose MLP blender format is retired
     _assert_fails_to_load(tmp_path, bundles[kind], break_it, message)
 
 
@@ -402,3 +402,102 @@ def test_a_document_too_deep_for_json_is_not_written(tmp_path):
     with pytest.raises(ValidationError, match="nested too deeply to write as JSON$"):
         write_json(path, node)
     assert not path.exists()
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document below its root, depth-first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _substitutes(value) -> list:
+    """Values of other JSON types for ``value``: a string for a number, a number for a
+    string, a bool for either, an object for a list, a list for an object, and null."""
+    if type(value) is bool:
+        return ["true", 1, None]
+    if type(value) in (int, float):
+        return [str(value), True, None]
+    if type(value) is str:
+        return [7, True, None]
+    if value is None:
+        return ["x", True, {}]
+    return [{} if type(value) is list else [], None]
+
+
+def _allowed(path, bad) -> bool:
+    """Whether the format allows ``bad`` in place of the value at ``path``.
+
+    Null is a threshold's "off" (-inf for ``t_low``, +inf for ``t_high``)
+    and ``winsor_quantiles``' "no winsorizing". A split node holds
+    ``left_cats`` or ``threshold_bin``; the walk changes values, never keys,
+    so it never puts one in place of the other.
+    """
+    return bad is None and path[-1] in ("t_low", "t_high", "winsor_quantiles")
+
+
+@pytest.fixture(scope="module")
+def small_bundles(tmp_path_factory):
+    """A model bundle with numeric and categorical splits, and a pipeline bundle, both small."""
+    tmp = tmp_path_factory.mktemp("small")
+    stock = make_synthetic_stock(n_rows=200, seed=0)
+    write_csv(stock, tmp / "stock.csv")
+    params = dataclasses.replace(fsl_preset(), objective="mse", n_rounds=3, num_leaves=4,
+                                 max_bin=6, seed=1)
+    save_model(train(bin_features(stock, params.max_bin, params.min_data_in_bin), params),
+               tmp / "model.json")
+    params = dataclasses.replace(params, n_rounds=2, num_leaves=3)
+    save_pipeline(fit_stacking(stock, make_default_zoo(stock, 20, seed=0, params=params),
+                               {"sell": 0.25, "hold": 0.5, "buy": 0.25}), tmp / "pipeline.json")
+    out = {"model": _Bundle(path=tmp / "model.json", data=tmp / "stock.csv", load=load_model,
+                            decode=Model.from_dict),
+           "pipeline": _Bundle(path=tmp / "pipeline.json", data=tmp / "stock.csv",
+                               load=load_pipeline, decode=StackingPipeline.from_dict)}
+    for bundle in out.values():
+        text = bundle.path.read_text(encoding="utf-8")
+        assert '"left_cats"' in text and '"threshold_bin"' in text
+        bundle.doc = json.loads(text)
+    assert any(e["winsor_quantiles"] for e in out["pipeline"].doc["level0"])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["model", "pipeline"])
+def test_every_field_of_a_bundle_rejects_a_value_of_another_type(tmp_path, small_bundles, kind):
+    # walks every value of the document, not a sample: a field no decoding
+    # rule covers loads with the wrong type, and shows up here by its path
+    bundle = small_bundles[kind]
+    doc = bundle.doc
+    loaded, unnamed, tried, predicted = [], [], 0, set()
+    for path in _paths(doc):
+        *parent, key = path
+        container = functools.reduce(operator.getitem, parent, doc)
+        good = container[key]
+        field = next(k for k in reversed(path) if isinstance(k, str))
+        for bad in _substitutes(good):
+            if _allowed(path, bad):
+                continue
+            tried += 1
+            container[key] = bad
+            try:
+                bundle.decode(doc)
+                loaded.append((path, bad))
+            except ValidationError as exc:
+                # a value names its field; an object is named by its place
+                # (tree 3: node 5), and a bad format says what it is not
+                if not isinstance(good, dict) and field != "format" and field not in str(exc):
+                    unnamed.append((path, bad, str(exc)))
+                # fewboost predict, once per field name and substitute type
+                if (field, type(bad)) not in predicted:
+                    predicted.add((field, type(bad)))
+                    file, out = tmp_path / "bundle.json", tmp_path / "scores.csv"
+                    file.write_text(json.dumps(doc), encoding="utf-8")
+                    code, err = _predict(bundle, file, out)
+                    assert code == 1 and err.startswith(f"error: {file}: "), (path, bad)
+                    assert err.count("\n") == 1 and not out.exists(), (path, bad)
+            finally:
+                container[key] = good
+    assert not loaded, f"{len(loaded)} of {tried} substitutions loaded: {loaded[:10]}"
+    assert not unnamed, f"{len(unnamed)} messages do not name their field: {unnamed[:10]}"
+    assert bundle.decode(doc).to_dict() == doc

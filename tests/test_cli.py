@@ -518,3 +518,30 @@ def test_predict_names_the_bundle_file_when_it_does_not_decode(tmp_path, scoring
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bundle}: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+def test_train_warns_when_every_tree_is_a_single_leaf(tmp_path, capsys):
+    # on 30 rows the default preset's leaf floor (2*20 rows) closes every
+    # split, and fsl's (2*1) does not; the stalled model used to be silent
+    from fewboost.booster import save_model, train
+    from fewboost.dataset import bin_features, load_csv
+    from fewboost.fsl import default_preset, fsl_preset
+
+    ds = make_synthetic_binary(n_rows=30, seed=0)
+    data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+    write_csv(ds, data)
+    schema.write_text(json.dumps(schema_for(ds)), encoding="utf-8")
+    ds = load_csv(data, schema)
+    for preset, params, warning in [
+        ("default", default_preset(), "warning: every tree is a single leaf: the leaf floor is "
+                                      "2*min_data_in_leaf = 40 rows, and each tree saw 30\n"),
+        ("fsl", fsl_preset(), ""),
+    ]:
+        model_path = tmp_path / f"{preset}.json"
+        assert main(["train", "--data", str(data), "--schema", str(schema), "--preset", preset,
+                     "--out", str(model_path)]) == 0
+        assert capsys.readouterr().err == warning
+        # the warning changes no byte of the model
+        save_model(train(bin_features(ds, params.max_bin, params.min_data_in_bin), params),
+                   tmp_path / "library.json")
+        assert model_path.read_bytes() == (tmp_path / "library.json").read_bytes()

@@ -3,7 +3,7 @@ import pytest
 
 from fewboost.errors import UndefinedMetricError, ValidationError
 from fewboost.metrics import r2
-from fewboost.mlp import MLP, init_mlp, train_mlp
+from fewboost.mlp import init_mlp, train_mlp
 
 from helpers import finite_diff_grads, max_relative_error
 
@@ -94,11 +94,3 @@ def test_epoch_cap():
     y = x[:, 0] - x[:, 1]
     _, history = train_mlp(x, y, max_epochs=64, seed=3)
     assert len(history) <= 64
-
-
-def test_mlp_serialization_round_trip():
-    rng = np.random.default_rng(6)
-    mlp = init_mlp(4, rng=rng)
-    again = MLP.from_dict(mlp.to_dict())
-    x = rng.standard_normal((9, 4))
-    assert np.array_equal(mlp.forward(x), again.forward(x))

@@ -193,7 +193,8 @@ def test_train_level0_batches_configs_with_different_parameters(monkeypatch):
 
 @pytest.mark.parametrize("broken, message", [
     ({"shot_indices": np.array([], dtype=np.intp)}, "training requires at least one row"),
-    ({"winsor_quantiles": (0.9, 0.1)}, "quantiles must satisfy 0 <= lo_q < hi_q <= 1"),
+    ({"winsor_quantiles": (0.9, 0.1)},
+     "field 'winsor_quantiles' is [0.9, 0.1], but quantiles must satisfy 0 <= lo_q < hi_q <= 1"),
 ])
 def test_train_level0_failing_config_names_itself_before_any_training(monkeypatch, broken,
                                                                       message):
@@ -363,11 +364,12 @@ def _first_split(entry):
     (lambda d: d["blender"].pop("weights"), "^blender: missing field 'weights'$"),
     (lambda d: d["blender"]["weights"].pop(),
      "^blender: takes 4 inputs, but the pipeline has 5 level-0 models$"),
-    (lambda d: d["thresholds"].__setitem__("t_low", "x"), "^thresholds: ValueError"),
-    (lambda d: d.__setitem__("level0", 7), "^TypeError"),
+    (lambda d: d["thresholds"].__setitem__("t_low", "x"),
+     "^thresholds: field 't_low' must be a finite number, got 'x'$"),
+    (lambda d: d.__setitem__("level0", 7), "^field 'level0' must be a list, got int$"),
     (lambda d: d.__setitem__("version", 7), "^unsupported pipeline version 7$"),
     (lambda d: d.__setitem__("version", True), "^unsupported pipeline version True$"),
-    (lambda d: d.__setitem__("version", 1), "^blender: missing field 'mlp'$"),
+    (lambda d: d.__setitem__("version", 1), "^unsupported pipeline version 1$"),
 ])
 def test_load_pipeline_names_what_does_not_decode(tmp_path, pipeline_doc, break_it, message):
     # a missing level-0 list, a bad level-0 model or a bad blender raises
@@ -382,13 +384,18 @@ def test_load_pipeline_names_what_does_not_decode(tmp_path, pipeline_doc, break_
         stacking.StackingPipeline.from_dict(doc)
 
 
-@pytest.mark.parametrize("doc", [{"t_low": float("nan"), "t_high": 1.0},
-                                 {"t_low": None, "t_high": float("nan")},
-                                 {"t_low": "nan", "t_high": None}])
-def test_thresholds_reject_nan(doc):
+@pytest.mark.parametrize("doc, message", [
+    ({"t_low": float("nan"), "t_high": 1.0}, "^field 't_low' must be a finite number, got nan$"),
+    ({"t_low": None, "t_high": float("nan")}, "^field 't_high' must be a finite number, got nan$"),
+    ({"t_low": "nan", "t_high": None}, "^field 't_low' must be a finite number, got 'nan'$"),
+])
+def test_thresholds_reject_nan(doc, message):
     # a NaN t_low compares false with every score, so nothing would ever sell
-    with pytest.raises(ValidationError, match="thresholds must not be NaN"):
+    with pytest.raises(ValidationError, match=message):
         ActionThresholds.from_dict(doc)
+    with pytest.raises(ValidationError, match="thresholds must not be NaN"):
+        ActionThresholds(t_low=-np.inf if doc["t_low"] is None else float(doc["t_low"]),
+                         t_high=np.inf if doc["t_high"] is None else float(doc["t_high"]))
 
 
 @pytest.mark.parametrize("dist, actions, doc", [
