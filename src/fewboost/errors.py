@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and one decoding rule per JSON type for bundles."""
+"""Exception types shared across the package, and the one rule per JSON type (its check and
+its message) that bundle fields and :class:`~fewboost.params.Params` fields are decoded by."""
 
 from contextlib import contextmanager
 from math import isfinite
@@ -49,6 +50,13 @@ def number(field: str, value) -> float:
     if type(value) not in (int, float) or not isfinite(value):
         raise ValidationError(f"field {field!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def boolean(field: str, value) -> bool:
+    """``value`` if it is a JSON bool (not a number or a string), else ValidationError."""
+    if type(value) is not bool:
+        raise ValidationError(f"field {field!r} must be a bool, got {value!r}")
+    return value
 
 
 def string(field: str, value) -> str:

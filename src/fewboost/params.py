@@ -3,22 +3,22 @@
 The dataclass defaults are the engine's standard (large-sample) values; the
 few-shot preset lives in :mod:`fewboost.fsl`. Every field is independently
 settable so experiments can isolate the effect of a single knob. Every field
-is type-checked when set: integer fields take Python or numpy integers,
-float fields take any finite real number, ``extra_trees`` takes a ``bool``
-and ``objective`` a string; a ``bool`` is not a number here. A numpy scalar
-is stored as the Python number it equals, so parameters always serialize to
-JSON.
+is type-checked when set, by the :mod:`fewboost.errors` rule of its kind:
+integer fields take an ``int``, float fields a finite ``int`` or ``float``,
+``extra_trees`` a ``bool`` and ``objective`` a ``str``, or a numpy scalar of
+those kinds other than ``numpy.bool_``, which is stored as the Python value
+it equals so parameters always serialize to JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import ValidationError, boolean, integer, number, string
 
 OBJECTIVES = ("binary-logloss", "mse", "mae")
 
@@ -77,39 +77,29 @@ class Params:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any], base: "Params | None" = None) -> "Params":
-        """Build from a (possibly partial) mapping, layered over ``base``."""
+        """Build from a partial mapping layered over ``base`` or, without one, a complete mapping.
+
+        The fields' types are checked first, then (without ``base``) that none is missing.
+        """
         if not isinstance(d, Mapping):
             raise ValidationError(f"parameters must be a mapping, got {type(d).__name__}")
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - names
+        names = [f.name for f in dataclasses.fields(cls)]
+        unknown = set(d) - set(names)
         if unknown:
             raise ValidationError(f"unknown parameter(s): {sorted(unknown)}")
-        return dataclasses.replace(base if base is not None else cls(), **dict(d))
+        params = dataclasses.replace(base if base is not None else cls(), **dict(d))
+        if base is None and (missing := [name for name in names if name not in d]):
+            raise ValidationError(f"missing field {missing[0]!r}")
+        return params
 
 
-_WANT = {"bool": "a bool", "str": "a string", "int": "an integer", "float": "a finite real number"}
+_RULES = {"bool": boolean, "str": string, "int": integer, "float": number}
 
 
 def _checked(name: str, kind: str, value):
-    """``value`` for field ``name`` of annotated type ``kind``, or ValidationError.
-
-    A numpy integer or real comes back as the Python ``int`` or ``float`` it
-    equals.
-    """
-    if kind == "bool":
-        ok = isinstance(value, bool)
-    elif kind == "str":
-        ok = isinstance(value, str)
-    elif isinstance(value, bool):  # an int subclass, but neither a count nor a rate
-        ok = False
-    elif kind == "int":
-        ok = isinstance(value, numbers.Integral)
-        if ok:
-            value = int(value)
-    else:
-        ok = isinstance(value, numbers.Real) and math.isfinite(value)
-        if ok and type(value) not in (int, float):
-            value = float(value)
-    if not ok:
-        raise ValidationError(f"{name} must be {_WANT[kind]}, got {type(value).__name__} {value!r}")
+    """``value`` for field ``name`` of annotated type ``kind``, or ValidationError; a numpy
+    scalar other than ``numpy.bool_`` is first turned into the Python value it equals."""
+    if isinstance(value, np.generic) and not isinstance(value, np.bool_):
+        value = value.item()
+    _RULES[kind](name, value)
     return value

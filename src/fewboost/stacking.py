@@ -214,11 +214,15 @@ def calibrate_thresholds(scores, target_dist: Mapping[str, float]) -> ActionThre
     ``n * p``, which keeps every achieved action count within one row of its
     target on distinct scores. Zero-probability edge actions get infinite
     sentinels, and fully tied scores collapse to hold whenever hold has mass.
+    The scores must be finite and non-empty.
     """
     p_sell, p_hold, p_buy = _check_target_dist(target_dist)
     s = np.asarray(scores, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValidationError("scores must be non-empty")
+    if not np.isfinite(s).all():
+        at = int(np.argmin(np.isfinite(s)))
+        raise ValidationError(f"scores must be finite, got {float(s[at])!r} at entry {at}")
     n = s.size
     xs = np.sort(s)
     n_sell = int(round(n * p_sell))
@@ -262,10 +266,15 @@ class StackingPipeline:
         Column ``feature_set[i]`` of a fit is its model's feature ``i``. The
         arity is the largest index any fit reads plus one; a column no fit
         reads is None. :func:`~fewboost.dataset.encode_csv` takes this list.
+        A ``feature_set`` must hold one column index >= 0 per model feature.
         """
         columns: dict[int, FeatureBins] = {}
-        for fit in self.fits:
-            for j, fb in zip(fit.config.feature_set, fit.model.mapper):
+        for k, fit in enumerate(self.fits):
+            fs, n = fit.config.feature_set, fit.model.n_features
+            if len(fs) != n or min(fs, default=0) < 0:
+                raise ValidationError(f"level-0 entry {k}: field 'feature_set' must hold {n} "
+                                      f"column indices >= 0, one per model feature, got {list(fs)}")
+            for j, fb in zip(fs, fit.model.mapper):
                 seen = columns.setdefault(j, fb)
                 if (seen.name, seen.kind, seen.categories) != (fb.name, fb.kind, fb.categories):
                     raise ValidationError(f"level-0 models disagree on the name, kind or "

@@ -78,7 +78,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import BinnedDataset, CATEGORICAL
-from .errors import DECODE_ERRORS, ValidationError, describe, integer
+from .errors import DECODE_ERRORS, ValidationError, boolean, describe, integer, integers, number
 from .params import Params
 
 LEAF_VALUE_CLAMP = 1e4
@@ -524,12 +524,11 @@ class Tree:
     def from_dict(cls, d: dict, missing_bins: Sequence[int]) -> "Tree":
         """Decode one bundle tree of a model with these features' missing bins, or ValidationError.
 
-        One pass builds and checks each node: integer fields and ``left_cats``
-        entries must be JSON integers (not a bool, a float or a string),
-        ``default_left`` a bool, a leaf value a finite number, and a split
-        feature one of ``missing_bins`` with its own ``missing_bin``. A bad
-        node's message names it by its depth-first index, and its field; so
-        does a tree too deep to recurse.
+        One pass builds and checks each node: its fields must pass the rules
+        of :mod:`~fewboost.errors` (inlined as type tests; a rule runs only
+        where one fails), and a split feature must be one of ``missing_bins``
+        with its own ``missing_bin``. A bad node's message names it by its
+        depth-first index, and its field; so does a tree too deep to recurse.
         """
         nodes: list[TreeNode] = []
 
@@ -538,35 +537,39 @@ class Tree:
             try:
                 count = nd["count"]
                 if type(count) is not int:
-                    raise _BadField("count")
+                    integer("count", count)
                 if "leaf" in nd:
-                    value = nd["leaf"]  # errors.number's rule, inline: this pass is hot
+                    value = nd["leaf"]
                     if type(value) is int:
                         value = float(value)
                     if type(value) is not float or not isfinite(value):
-                        raise _BadField("leaf")
+                        number("leaf", value)
                     nodes.append(TreeNode(value, count))
                     return nid
                 feature, missing_bin = nd["feature"], nd["missing_bin"]
                 default_left = nd["default_left"]
                 if type(feature) is not int:
-                    raise _BadField("feature")
+                    integer("feature", feature)
                 if type(missing_bin) is not int:
-                    raise _BadField("missing_bin")
+                    integer("missing_bin", missing_bin)
                 if type(default_left) is not bool:
-                    raise _BadField("default_left")
+                    boolean("default_left", default_left)
                 if "left_cats" in nd:
                     cats, threshold_bin = nd["left_cats"], -1
                     if type(cats) is not list or not {*map(type, cats)} <= {int}:
-                        raise _BadField("left_cats")
+                        integers("left_cats", cats)
                     cats = tuple(cats)
                 else:
                     cats, threshold_bin = None, nd["threshold_bin"]
                     if type(threshold_bin) is not int:
-                        raise _BadField("threshold_bin")
+                        integer("threshold_bin", threshold_bin)
                 left, right = nd["left"], nd["right"]
+            except ValidationError as exc:
+                raise ValidationError(f"node {nid}: {exc}") from exc
             except DECODE_ERRORS as exc:
-                raise ValidationError(f"node {nid}: {_node_fault(nd, exc)}") from exc
+                fault = (describe(exc) if isinstance(nd, dict)
+                         else f"a node must be an object, got {type(nd).__name__}")
+                raise ValidationError(f"node {nid}: {fault}") from exc
             if not 0 <= feature < len(missing_bins):
                 raise ValidationError(f"split feature {feature} is not one of the model's "
                                       f"{len(missing_bins)} features")
@@ -587,23 +590,6 @@ class Tree:
         except DECODE_ERRORS as exc:  # a RecursionError raised between two nodes, too
             raise ValidationError(describe(exc)) from exc
         return tree
-
-
-class _BadField(ValueError):
-    """A bundle node's field, named by the one argument, holds a bad value."""
-
-
-def _node_fault(nd: Any, exc: Exception) -> str:
-    """What keeps a bundle node from decoding, in words, once decoding it has raised ``exc``."""
-    if not isinstance(nd, dict):
-        return f"a node must be an object, got {type(nd).__name__}"
-    if not isinstance(exc, _BadField):
-        return describe(exc)
-    key = exc.args[0]
-    if key == "leaf":
-        return f"leaf value must be a finite number, got {nd[key]!r}"
-    want = {"default_left": "a bool", "left_cats": "a list of integers"}.get(key, "an integer")
-    return f"field {key!r} must be {want}, got {nd[key]!r}"
 
 
 def _route(col: np.ndarray, rows: np.ndarray | None,

@@ -252,7 +252,7 @@ def test_model_rejects_foreign_document(tmp_path):
 
 @pytest.mark.parametrize("fault, message", [
     ("feature", "split feature 99 is not one of the model's 6 features"),
-    ("leaf", "leaf value must be a finite number, got nan"),
+    ("leaf", "field 'leaf' must be a finite number, got nan"),
     ("base_score", "^field 'base_score' must be a finite number, got inf$"),
     ("edges", r"^feature \d+: field 'edges' entry 0 must be a finite number, got nan$"),
 ])
@@ -298,7 +298,7 @@ def test_load_model_names_a_node_field_that_does_not_decode(tmp_path, fault, mes
     (lambda d: d["trees"][0]["root"].__setitem__("left", "leaf"),
      "tree 0: node 1: a node must be an object, got str"),
     (lambda d: d["trees"][0]["root"].__setitem__("left_cats", ["c"]),
-     "tree 0: node 0: field 'left_cats' must be a list of integers, got \\['c'\\]"),
+     "tree 0: node 0: field 'left_cats' entry 0 must be an integer, got 'c'"),
     (lambda d: d.__setitem__("base_score", "x"), "field 'base_score' must be a finite number"),
     (lambda d: d.__setitem__("params", []), "params: parameters must be a mapping"),
 ])

@@ -28,6 +28,7 @@ from fewboost.cli import main
 from fewboost.dataset import bin_features, write_csv, write_json
 from fewboost.errors import ParseError, ValidationError
 from fewboost.fsl import default_preset, fsl_preset
+from fewboost.params import Params
 from fewboost.stacking import (StackingPipeline, fit_stacking, load_pipeline, make_default_zoo,
                                save_pipeline)
 from fewboost.synth import make_synthetic_stock
@@ -75,7 +76,7 @@ def _int_slots(doc: dict, prefix: str = "") -> list[tuple]:
                 slots.append((nd, "default_left", bool, f"{at} 'default_left' must be a bool"))
             for p in range(len(nd.get("left_cats", ()))):
                 slots.append((nd["left_cats"], p, int,
-                              f"{at} 'left_cats' must be a list of integers"))
+                              f"{at} 'left_cats' entry {p} must be an integer"))
             if "leaf" not in nd:
                 stack += [nd["right"], nd["left"]]
             nid += 1
@@ -146,7 +147,7 @@ def _level0(doc, k=0):
     ("default", lambda d: _set(_first_split(d), "default_left", "false"),
      r"tree \d+: node 0: field 'default_left' must be a bool, got 'false'$"),
     ("fsl", lambda d: _set(_first_leaf(d), "leaf", "0.5"),
-     r"tree \d+: node \d+: leaf value must be a finite number, got '0\.5'$"),
+     r"tree \d+: node \d+: field 'leaf' must be a finite number, got '0\.5'$"),
     ("default", lambda d: _set(d["trees"][0], "num_leaves_used", 1.5),
      r"tree 0: field 'num_leaves_used' must be an integer, got 1\.5$"),
     ("fsl", lambda d: _set(d["features"][0], "n_real_bins", 2.7),
@@ -287,13 +288,44 @@ def test_a_categorical_feature_with_no_categories_and_one_bin_loads(bundles):
     ("pipeline", lambda d: d["blender"]["weights"].pop(),
      r"^blender: takes 4 inputs, but the pipeline has 5 level-0 models$"),
     ("pipeline", lambda d: _set(d, "version", 1), r"^unsupported pipeline version 1$"),
-], ids=["model-version-true", "model-version-1.0", "blender-width", "pipeline-version-1"])
+    ("pipeline", lambda d: _set(_level0(d, 4)["feature_set"], 8, -1),
+     r"^level-0 entry 4: field 'feature_set' must hold 13 column indices >= 0, one per model "
+     r"feature, got \[0, 1, 2, 3, 4, 5, 6, 7, -1, 9, 10, 11, 12\]$"),
+    ("pipeline", lambda d: _level0(d, 3)["feature_set"].append(8),
+     r"^level-0 entry 3: field 'feature_set' must hold 8 column indices >= 0, one per model "
+     r"feature, got \[0, 1, 2, 3, 4, 5, 6, 7, 8\]$"),
+], ids=["model-version-true", "model-version-1.0", "blender-width", "pipeline-version-1",
+        "feature-set-negative", "feature-set-extra"])
 def test_a_bundle_that_decodes_but_cannot_score_fails_to_load(tmp_path, bundles, kind, break_it,
                                                                message):
     # each of these loaded: a version that is not the JSON integer 1, a
     # blender for 4 level-0 models over 5 (scoring failed without the file's
-    # path), and a version-1 pipeline, whose MLP blender format is retired
+    # path), a version-1 pipeline, whose MLP blender format is retired, a
+    # feature_set entry of -1 (model 4 read the last column as its feature 8,
+    # and predict scored wrongly) and an extra feature_set entry (predict
+    # failed on a matrix shape, naming neither the file nor the entry)
     _assert_fails_to_load(tmp_path, bundles[kind], break_it, message)
+
+
+@pytest.mark.parametrize("kind, params, prefix", [
+    ("default", lambda d: d["params"], "params: "),
+    ("pipeline", lambda d: _level0(d, 1)["params"], "level-0 entry 1: "),
+    ("pipeline", lambda d: _level0(d, 1)["model"]["params"], "level-0 entry 1: params: "),
+], ids=["model", "level0", "level0-model"])
+def test_bundle_params_without_a_field_fail_to_load_naming_it(tmp_path, bundles, kind, params,
+                                                              prefix):
+    # a missing field used to take its default: a model saved with another
+    # eta loaded with eta 0.1 and scored differently
+    bundle = bundles[kind]
+    doc = json.loads(json.dumps(bundle.doc))
+    assert set(params(doc)) == {f.name for f in dataclasses.fields(Params)}
+    for name in list(params(doc)):
+        value = params(doc).pop(name)
+        with pytest.raises(ValidationError, match=f"^{prefix}missing field {name!r}$"):
+            bundle.decode(doc)
+        params(doc)[name] = value
+    _assert_fails_to_load(tmp_path, bundle, lambda d: params(d).pop("eta"),
+                          f"^{prefix}missing field 'eta'$")
 
 
 _NOT_AN_INTEGER = st.one_of(

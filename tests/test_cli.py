@@ -253,7 +253,7 @@ def test_params_file_with_a_wrong_type_fails_without_output(tmp_path, binary_csv
     out = tmp_path / "m.json"
     assert main(["train", "--data", str(data), "--schema", str(schema),
                  "--preset", "file", "--params", str(params_file), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert capsys.readouterr().err.startswith(f"error: field '{field}' must be ")
     assert not out.exists()
 
 
@@ -477,7 +477,7 @@ def test_a_json_file_that_is_not_utf8_fails_with_one_error_line_and_no_output(
 
 @pytest.mark.parametrize("fault, message", [
     ("feature", "tree 0: split feature 99 is not one of the model's 6 features"),
-    ("leaf", "leaf value must be a finite number, got nan"),
+    ("leaf", "field 'leaf' must be a finite number, got nan"),
 ])
 def test_predict_with_a_malformed_bundle_fails_with_one_error_line_and_no_output(
         tmp_path, binary_csv, capsys, fault, message):

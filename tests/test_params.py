@@ -29,9 +29,9 @@ def test_every_field_has_a_checked_kind():
 @pytest.mark.parametrize("field, value", [
     (name, value) for name, kind in FIELDS.items() for value in WRONG[kind]])
 def test_wrong_type_raises_validation_error_naming_the_field(field, value):
-    with pytest.raises(ValidationError, match=f"^{field} must be "):
+    with pytest.raises(ValidationError, match=f"^field '{field}' must be "):
         Params(**{field: value})
-    with pytest.raises(ValidationError, match=f"^{field} must be "):
+    with pytest.raises(ValidationError, match=f"^field '{field}' must be "):
         Params.from_dict({field: value})
 
 

@@ -384,6 +384,14 @@ def test_load_pipeline_names_what_does_not_decode(tmp_path, pipeline_doc, break_
         stacking.StackingPipeline.from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_calibrate_thresholds_rejects_non_finite_scores(bad):
+    # np.sort put a NaN last, as the highest score: [nan, 1, 2, 3] gave
+    # t_low=1.5 and t_high=inf without an error
+    with pytest.raises(ValidationError, match=f"^scores must be finite, got {bad!r} at entry 0$"):
+        calibrate_thresholds([bad, 1.0, 2.0, 3.0], {"sell": 0.25, "hold": 0.75, "buy": 0.0})
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"t_low": float("nan"), "t_high": 1.0}, "^field 't_low' must be a finite number, got nan$"),
     ({"t_low": None, "t_high": float("nan")}, "^field 't_high' must be a finite number, got nan$"),
